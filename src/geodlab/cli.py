@@ -34,14 +34,6 @@ EXIT_NUMERIC = 3
 
 CACHE_ENV = "GEODLAB_CACHE"
 
-# tolerance profiles scale the sample budgets; "full" mirrors the acceptance
-# battery, "quick" is the deterministic smoke battery used by verify-all
-PROFILES = {
-    "default": {"samples_scale": 1.0, "radius": 10.0},
-    "quick": {"samples_scale": 0.1, "radius": 8.0},
-    "full": {"samples_scale": 1.0, "radius": 13.0},
-}
-
 
 @dataclass
 class RunConfig:
@@ -54,7 +46,6 @@ class RunConfig:
     box: list | None = None          # [x, y, theta, pos_radius, angle_hw]
     out: str = "."
     cache_dir: str | None = None
-    tolerance_profile: str = "default"
 
     def validate(self):
         if self.radius <= 0 or self.epsilon <= 0 or self.samples <= 0:
@@ -63,9 +54,6 @@ class RunConfig:
             raise ConfigError("seed must be nonnegative")
         if any(t <= 0 for t in self.t_grid):
             raise ConfigError("t grid entries must be positive")
-        if self.tolerance_profile not in PROFILES:
-            raise ConfigError(f"unknown tolerance profile "
-                              f"{self.tolerance_profile!r}")
         if self.box is not None and len(self.box) != 5:
             raise ConfigError("box needs 5 numbers: x,y,theta,radius,halfwidth")
         return self
@@ -123,8 +111,7 @@ def build_config(args) -> RunConfig:
                       ("t", "t_grid"), ("epsilon", "epsilon"),
                       ("samples", "samples"), ("seed", "seed"),
                       ("box", "box"), ("out", "out"),
-                      ("cache_dir", "cache_dir"),
-                      ("tolerance_profile", "tolerance_profile")]:
+                      ("cache_dir", "cache_dir")]:
         v = getattr(args, flag, None)
         if v is not None:
             setattr(cfg, key, v)
@@ -151,47 +138,45 @@ def _file_sha256(path):
     return h.hexdigest()
 
 
-class CacheLock:
-    """Create-exclusive sentinel file; one writer per cache entry."""
-
-    def __init__(self, target):
-        self.path = str(target) + ".lock"
-        self.fd = None
-
-    def __enter__(self):
-        try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError as e:
-            raise ConfigError(
-                f"cache entry is locked by another writer: {self.path}") from e
-        return self
-
-    def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-            os.unlink(self.path)
-
-
 def cached_spectrum(cfg: RunConfig) -> tuple[fu.SpectrumTable, str, bool]:
-    """Build or reuse the spectrum table; returns (table, csv_path, hit)."""
+    """Build or reuse the spectrum table; returns (table, csv_path, hit).
+
+    An entry is keyed on the surface and every build parameter in the
+    table's meta (schema version included).  It is reused only when its meta
+    equals those parameters and its CSV matches the sha256 sidecar; anything
+    else is rebuilt.  Files are written under temporary names and renamed
+    into place, sidecar last, so a crash never leaves a valid-looking entry.
+    """
+    want = {"surface": cfg.surface, "cutoff": cfg.radius,
+            **fu.spectrum_meta(cfg.radius)}
     key = hashlib.sha256(
-        f"spectrum|{cfg.surface}|{cfg.radius!r}".encode()).hexdigest()[:16]
+        json.dumps(want, sort_keys=True).encode()).hexdigest()[:16]
     cdir = cfg.resolved_cache_dir()
     csv_path = os.path.join(cdir, f"spectrum_{key}.csv")
     meta_path = os.path.join(cdir, f"spectrum_{key}.json")
     sidecar = csv_path + ".sha256"
-    if os.path.exists(csv_path) and os.path.exists(sidecar):
+    try:
+        with open(meta_path) as f:
+            meta_ok = json.load(f) == want
         with open(sidecar) as f:
-            want = f.read().strip()
-        if _file_sha256(csv_path) == want:
-            return fu.SpectrumTable.load(csv_path, meta_path), csv_path, True
-        # hash mismatch: never silently reuse; fall through and rebuild
+            hash_ok = _file_sha256(csv_path) == f.read().strip()
+    except (OSError, ValueError):
+        meta_ok = hash_ok = False
+    if meta_ok and hash_ok:
+        return fu.SpectrumTable.load(csv_path, meta_path), csv_path, True
     surface = fu.load_surface(cfg.surface)
     table = fu.build_spectrum(surface, cfg.radius)
-    with CacheLock(csv_path):
-        table.save(csv_path, meta_path)
-        with open(sidecar, "w") as f:
-            f.write(_file_sha256(csv_path) + "\n")
+    tmp = {p: f"{p}.{os.getpid()}.tmp" for p in (csv_path, meta_path, sidecar)}
+    try:
+        table.save(tmp[csv_path], tmp[meta_path])
+        with open(tmp[sidecar], "w") as f:
+            f.write(_file_sha256(tmp[csv_path]) + "\n")
+        for final in (csv_path, meta_path, sidecar):
+            os.replace(tmp[final], final)
+    finally:
+        for t in tmp.values():
+            if os.path.exists(t):
+                os.unlink(t)
     return table, csv_path, False
 
 
@@ -496,8 +481,6 @@ def make_parser():
     p.add_argument("--box", help="x,y,theta,position_radius,angle_halfwidth")
     p.add_argument("--out")
     p.add_argument("--cache-dir", dest="cache_dir")
-    p.add_argument("--tolerance-profile", dest="tolerance_profile",
-                   choices=sorted(PROFILES))
     return p
 
 
@@ -511,8 +494,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        if isinstance(cfg.t_grid, str):
-            cfg.t_grid = _parse_floats(cfg.t_grid)
         os.makedirs(cfg.out, exist_ok=True)
         return COMMANDS[args.command](cfg)
     except ConfigError as e:

@@ -16,7 +16,7 @@ import numpy as np
 from . import fuchsian as fu
 from . import hypgeom as hg
 from .errors import InvalidConfigurationError
-from .mme import MeasureEstimate, PhaseBox
+from .mme import MeasureEstimate, PhaseBox, _pair_geodesics
 from .quotient import FundamentalDomain
 
 TWO_PI = 2.0 * math.pi
@@ -49,34 +49,24 @@ def realize_geodesic(domain: FundamentalDomain, cls: fu.GeodesicClass,
                      step: float = DEFAULT_SAMPLE_STEP) -> RealizedGeodesic:
     """Walk the axis one full period at the given resolution, reduced to F.
 
-    The nominal step is adjusted to length / n so the sample set is exactly
-    periodic under the flow by one period.
+    The walk starts at the axis point closest to the origin.  The nominal
+    step is adjusted to length / n so the sample set is exactly periodic
+    under the flow by one period.
     """
-    z, theta, actual = _axis_samples(cls, step)
-    zr, tr = domain.reduce_phase_z(z, theta)
-    return RealizedGeodesic(cls, actual, zr, tr)
-
-
-def _axis_samples(cls: fu.GeodesicClass, step: float):
-    """Unreduced axis samples over one period, starting near the origin."""
-    xi, eta = cls.axis[0].u, cls.axis[1].u    # attracting, repelling
-    m = xi + eta
-    if abs(m) < 1e-12:
-        delta = np.angle(xi) - 0.5 * math.pi
-    else:
-        delta = np.angle(m)
-    phi = np.angle(xi * np.exp(-1j * delta))
-    r_c = np.tan(0.25 * math.pi - 0.5 * abs(phi))
-    z_c = r_c * np.exp(1j * delta)
-    theta_c = delta + np.sign(phi) * 0.5 * math.pi
+    if cls.axis is None:
+        raise InvalidConfigurationError(
+            f"class {cls.word_str} has no axis (table loaded without its "
+            "surface meta)")
+    z_c, theta_c, _ = _pair_geodesics(cls.axis[0].u, cls.axis[1].u)
     ca, cb = hg.carrier_ab(complex(z_c), float(theta_c))
     n = max(int(round(cls.length / step)), 1)
     actual = cls.length / n
     s = (np.arange(n) + 0.5) * actual
     p0 = np.tanh(0.5 * s).astype(complex)
     z = hg.mobius_apply_z(ca, cb, p0)
-    theta = hg.mobius_dir_z(ca, cb, p0, 0.0)
-    return z, np.asarray(theta, float), actual
+    theta = np.asarray(hg.mobius_dir_z(ca, cb, p0, 0.0), float)
+    zr, tr = domain.reduce_phase_z(z, theta)
+    return RealizedGeodesic(cls, actual, zr, tr)
 
 
 @dataclass

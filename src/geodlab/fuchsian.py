@@ -314,9 +314,30 @@ def enumerate_ball(surface: SurfaceModel, R: float, *, c_prune: float = DEFAULT_
     """Pruned BFS over the Cayley graph, deduplicated by matrix."""
     if R > hard_cap:
         raise OutOfRangeError(f"R = {R} exceeds the hard cap {hard_cap}")
+    *parts, index = _orbit_bfs(surface, R + c_prune, max_elements=max_elements,
+                               c_prune=c_prune)
+    return Ball(surface, R, c_prune, *parts, index)
+
+
+def brute_force_ball(surface: SurfaceModel, max_word_len: int) -> Ball:
+    """Exhaustive word search without displacement pruning (test oracle)."""
+    a, b, d, parent, letter, index = _orbit_bfs(surface, math.inf,
+                                                max_levels=max_word_len)
+    return Ball(surface, float(d.max()), 0.0, a, b, d, parent, letter, index)
+
+
+def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, max_elements=math.inf,
+               c_prune=0.0):
+    """Level-by-level BFS over reduced words, deduplicated by matrix.
+
+    Each level extends the previous level's new elements by every letter
+    but the backtrack, drops those with displacement above ``cutoff`` and
+    keeps the first of each matrix not seen before.  Stops when a level adds
+    nothing or after ``max_levels`` levels.  Returns (a, b, disp, parent,
+    letter, index) with the identity at position 0.
+    """
     nl = surface.n_letters
     ga, gb = surface.gen_a, surface.gen_b
-    cutoff = R + c_prune
 
     a_parts = [np.array([1 + 0j])]
     b_parts = [np.array([0j])]
@@ -333,7 +354,9 @@ def enumerate_ball(surface: SurfaceModel, R: float, *, c_prune: float = DEFAULT_
     fi = np.array([0], dtype=np.int64)
     fl = np.array([-1], dtype=np.int8)
 
-    while len(fa):
+    level = 0
+    while len(fa) and level < max_levels:
+        level += 1
         # expand frontier by all letters, skipping the immediate backtrack
         na = (fa[:, None] * ga[None, :] + fb[:, None] * np.conj(gb)[None, :]).ravel()
         nb = (fa[:, None] * gb[None, :] + fb[:, None] * np.conj(ga)[None, :]).ravel()
@@ -363,67 +386,15 @@ def enumerate_ball(surface: SurfaceModel, R: float, *, c_prune: float = DEFAULT_
         l_parts.append(let)
         total += len(na)
         if total > max_elements:
-            done = float(min(disp.min() - c_prune, R))
             raise PartialEnumerationError(
-                f"element budget {max_elements} exceeded", max(done, 0.0))
+                f"element budget {max_elements} exceeded",
+                max(float(disp.min()) - c_prune, 0.0))
         fa, fb, fl = na, nb, let
         fi = np.arange(total - len(na), total, dtype=np.int64)
 
-    return Ball(surface, R, c_prune,
-                np.concatenate(a_parts), np.concatenate(b_parts),
-                np.concatenate(d_parts), np.concatenate(p_parts),
-                np.concatenate(l_parts), index)
-
-
-def brute_force_ball(surface: SurfaceModel, max_word_len: int) -> Ball:
-    """Exhaustive word search without displacement pruning (test oracle)."""
-    nl = surface.n_letters
-    ga, gb = surface.gen_a, surface.gen_b
-
-    a_parts = [np.array([1 + 0j])]
-    b_parts = [np.array([0j])]
-    d_parts = [np.array([0.0])]
-    p_parts = [np.array([-1], dtype=np.int64)]
-    l_parts = [np.array([-1], dtype=np.int8)]
-    index = MatrixIndex()
-    k0, _ = _quantize(np.array([1 + 0j]), np.array([0j]))
-    index.insert(k0[0], 0)
-    total = 1
-    fa = np.array([1 + 0j])
-    fb = np.array([0j])
-    fl = np.array([-1], dtype=np.int8)
-    fi = np.array([0], dtype=np.int64)
-
-    for _level in range(max_word_len):
-        na = (fa[:, None] * ga[None, :] + fb[:, None] * np.conj(gb)[None, :]).ravel()
-        nb = (fa[:, None] * gb[None, :] + fb[:, None] * np.conj(ga)[None, :]).ravel()
-        src = np.repeat(fi, nl)
-        let = np.tile(np.arange(nl, dtype=np.int8), len(fa))
-        back = np.repeat(fl, nl) == (let ^ 1)
-        na, nb, src, let = na[~back], nb[~back], src[~back], let[~back]
-        k, frac = _quantize(na, nb)
-        _, first = np.unique(k, axis=0, return_index=True)
-        first.sort()
-        na, nb, src, let, k, frac = (x[first] for x in (na, nb, src, let, k, frac))
-        new = index.insert_new(k, frac, total)
-        if not new:
-            break
-        new = np.array(new)
-        na, nb, src, let = na[new], nb[new], src[new], let[new]
-        a_parts.append(na)
-        b_parts.append(nb)
-        d_parts.append(hg.displacement_ab(na, nb))
-        p_parts.append(src)
-        l_parts.append(let)
-        total += len(na)
-        fa, fb, fl = na, nb, let
-        fi = np.arange(total - len(na), total, dtype=np.int64)
-
-    a = np.concatenate(a_parts)
-    bb = np.concatenate(b_parts)
-    d = np.concatenate(d_parts)
-    return Ball(surface, float(d.max()), 0.0, a, bb, d,
-                np.concatenate(p_parts), np.concatenate(l_parts), index)
+    return (np.concatenate(a_parts), np.concatenate(b_parts),
+            np.concatenate(d_parts), np.concatenate(p_parts),
+            np.concatenate(l_parts), index)
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +748,10 @@ class SpectrumTable:
         classes = []
         with open(csv_path, newline="") as f:
             r = csv.reader(f)
-            header = next(r)
-            assert header[0] == "canonical_word"
+            header = next(r, None)
+            if not header or header[0] != "canonical_word":
+                raise SpectrumInconsistencyError(
+                    f"{csv_path} is not a spectrum table (header {header!r})")
             for row in r:
                 classes.append(GeodesicClass(
                     canonical_word=str_to_word(row[0]),
@@ -803,6 +776,16 @@ class SpectrumTable:
 
 
 DEFAULT_SPECTRUM_MARGIN = 2.0
+# bump whenever a code change alters what a built table holds
+SPECTRUM_SCHEMA = 1
+
+
+def spectrum_meta(R, *, margin=DEFAULT_SPECTRUM_MARGIN, c_prune=DEFAULT_C_PRUNE,
+                  walk_slack=DEFAULT_WALK_SLACK) -> dict:
+    """Everything a table built to length R depends on; saved as its meta."""
+    return {"schema": SPECTRUM_SCHEMA, "R": R, "margin": margin,
+            "c_prune": c_prune, "walk_slack": walk_slack, "tie_tol": TIE_TOL,
+            "grid": GRID}
 
 
 def build_spectrum(surface: SurfaceModel, R: float, *,
@@ -824,9 +807,8 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
     if cross_validate_to > 0:
         _cross_validate_words(surface, ball, classes, class_of,
                               min(cross_validate_to, R))
-    meta = {"R": R, "margin": margin, "c_prune": c_prune,
-            "walk_slack": walk_slack, "tie_tol": TIE_TOL, "grid": GRID}
-    return SpectrumTable(surface.name, R, classes, meta)
+    return SpectrumTable(surface.name, R, classes, spectrum_meta(
+        R, margin=margin, c_prune=c_prune, walk_slack=walk_slack))
 
 
 def _cross_validate_words(surface, ball, classes, class_of, up_to):
@@ -855,14 +837,3 @@ def _cross_validate_words(surface, ball, classes, class_of, up_to):
         if max(trs) - min(trs) > 1e-6:
             raise SpectrumInconsistencyError(
                 f"trace scatter {max(trs) - min(trs)} within class {cid}")
-
-
-# ---------------------------------------------------------------------------
-# counting queries (module-level conveniences mirroring the table methods)
-
-def count_P(table: SpectrumTable, t, **kw) -> int:
-    return table.count_P(t, **kw)
-
-
-def count_window(table: SpectrumTable, t, eps, **kw) -> int:
-    return table.count_window(t, eps, **kw)

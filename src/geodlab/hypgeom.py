@@ -367,9 +367,3 @@ def trace_class(g: Isometry) -> TraceClassification:
     return TraceClassification(
         "hyperbolic", length,
         (BoundaryPoint(complex(att)), BoundaryPoint(complex(rep))))
-
-
-def translation_length_ab(a, b=None):
-    """Translation length from the trace; vectorized."""
-    tr = np.abs(2.0 * np.asarray(a).real)
-    return 2.0 * np.arccosh(np.maximum(tr, 2.0) / 2.0)

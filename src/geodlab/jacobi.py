@@ -212,6 +212,26 @@ def integrate_geodesic(metric: ConformalMetric, s0: GeodesicState, T: float,
                       out[:, 2, 0], drift)
 
 
+def _two_way_curvature(metric, x0, y0, th0, T: float, dt: float, s_start=0.0):
+    """Integrate a batch forward and backward over T and check unit speed.
+
+    Returns (h, k_fwd, k_bwd): the step and the curvature at the samples of
+    each direction, shaped (steps + 1, n) and starting at the initial
+    states.  h is taken from the arclengths offset by s_start, as for a
+    Trajectory starting there.
+    """
+    s, fwd = _integrate_batch(metric, x0, y0, th0, T, dt)
+    _, bwd = _integrate_batch(metric, x0, y0, th0, -T, dt)
+    drift = np.maximum(_batch_drift(metric, s, fwd),
+                       _batch_drift(metric, s, bwd))
+    if (drift > SPEED_DRIFT_LIMIT).any():
+        raise IntegrationError(
+            f"unit-speed drift {drift.max():.2e} exceeds {SPEED_DRIFT_LIMIT}")
+    h = abs((s_start + s[1]) - (s_start + s[0]))
+    return (h, metric.curvature(fwd[:, 0], fwd[:, 1]),
+            metric.curvature(bwd[:, 0], bwd[:, 1]))
+
+
 # ---------------------------------------------------------------------------
 # rank classification
 
@@ -230,10 +250,9 @@ def rank_classify(metric: ConformalMetric, s0: GeodesicState,
     rank >= 2 iff sup |K| <= tol over the sampled trajectory on [-T, T]; the
     horizon is reported as part of the contract.
     """
-    fwd = integrate_geodesic(metric, s0, T)
-    bwd = integrate_geodesic(metric, s0, -T)
-    sup = max(float(np.abs(fwd.curvature_along()).max()),
-              float(np.abs(bwd.curvature_along()).max()))
+    _, k_fwd, k_bwd = _two_way_curvature(metric, [s0.x], [s0.y], [s0.theta],
+                                         T, DEFAULT_DT)
+    sup = max(float(np.abs(k_fwd).max()), float(np.abs(k_bwd).max()))
     rank = "rank_ge_2" if sup <= tol else "rank_one"
     return RankReport(rank, sup, T, tol)
 
@@ -252,30 +271,42 @@ class RiccatiReport:
         return self.u_unstable - self.u_stable
 
 
-def _riccati_along(K_vals, h):
-    """Integrate u' = -K - u^2 along sampled curvature with RK4, u(0) = 0.
+def _riccati_along(K_vals, h, u0=0.0):
+    """Integrate u' = -K - u^2 along sampled curvature with RK4 from u0.
 
-    K_vals has shape (steps + 1,) or (steps + 1, n_batch); returns the final
-    u with the trailing shape.
+    K_vals has shape (steps + 1,) or (steps + 1, n_batch); returns u at
+    every sample, shaped like K_vals.
     """
-    K_vals = np.atleast_2d(np.asarray(K_vals, float).T).T
-    u = np.zeros(K_vals.shape[1])
+    K_vals = np.asarray(K_vals, float)
+    u = np.empty_like(K_vals)
+    u[0] = u0
 
     def f(k, u):
         return -k - u * u
 
     for i in range(len(K_vals) - 1):
-        k0, k1 = K_vals[i], K_vals[i + 1]
+        k0, k1, ui = K_vals[i], K_vals[i + 1], u[i]
         km = 0.5 * (k0 + k1)
-        a1 = f(k0, u)
-        a2 = f(km, u + 0.5 * h * a1)
-        a3 = f(km, u + 0.5 * h * a2)
-        a4 = f(k1, u + h * a3)
-        u = u + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-        if (np.abs(u) > RICCATI_BLOWUP).any():
+        a1 = f(k0, ui)
+        a2 = f(km, ui + 0.5 * h * a1)
+        a3 = f(km, ui + 0.5 * h * a2)
+        a4 = f(k1, ui + h * a3)
+        u[i + 1] = ui + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+        if (np.abs(u[i + 1]) > RICCATI_BLOWUP).any():
             raise IntegrationError(
                 "Riccati blow-up under nonpositive curvature")
-    return u if u.size > 1 else float(u[0])
+    return u
+
+
+def _riccati_limits(h, k_fwd, k_bwd):
+    """(u_stable, u_unstable) at the batch starts from two-way curvature.
+
+    u_unstable: integrate u' = -K - u^2 from s = -T (u = 0) forward to 0;
+    u_stable: mirrored from s = +T backward, where reversing the
+    orientation flips the sign of u.
+    """
+    return (-_riccati_along(k_fwd[::-1], h)[-1],
+            _riccati_along(k_bwd[::-1], h)[-1])
 
 
 def riccati_subspaces(metric: ConformalMetric, s0: GeodesicState,
@@ -283,21 +314,12 @@ def riccati_subspaces(metric: ConformalMetric, s0: GeodesicState,
                       dt: float = DEFAULT_DT) -> RiccatiReport:
     """Forward/backward Riccati limits at s0.
 
-    u_unstable: integrate u' = -K - u^2 from s = -T (u = 0) forward to 0;
-    u_stable: mirrored from s = +T backward.  With K <= 0 both stay finite
-    and the initial condition washes out over the horizon.
+    With K <= 0 both stay finite and the initial condition washes out over
+    the horizon.
     """
-    bwd = integrate_geodesic(metric, s0, -T, dt)   # samples at 0, -h, ..., -T
-    fwd = integrate_geodesic(metric, s0, T, dt)
-    h = abs(fwd.s[1] - fwd.s[0])
-    # unstable: along the past trajectory, oriented -T -> 0
-    k_past = bwd.curvature_along()[::-1]
-    u_unstable = _riccati_along(k_past, h)
-    # stable: along the future trajectory reversed, +T -> 0; reversing the
-    # orientation flips the sign of u
-    k_future = fwd.curvature_along()[::-1]
-    u_stable = -_riccati_along(k_future, h)
-    return RiccatiReport(float(u_stable), float(u_unstable), T)
+    u_stable, u_unstable = _riccati_limits(*_two_way_curvature(
+        metric, [s0.x], [s0.y], [s0.theta], T, dt, s0.s))
+    return RiccatiReport(float(u_stable[0]), float(u_unstable[0]), T)
 
 
 def unstable_jacobi(metric: ConformalMetric, s0: GeodesicState,
@@ -307,23 +329,13 @@ def unstable_jacobi(metric: ConformalMetric, s0: GeodesicState,
     J(s) = exp(integral of u) along the forward orbit, with u integrated
     from the Riccati equation; nondecreasing for every preset (K <= 0).
     """
-    rep = riccati_subspaces(metric, s0, T, dt)
-    fwd = integrate_geodesic(metric, s0, T, dt)
-    h = abs(fwd.s[1] - fwd.s[0])
-    ks = fwd.curvature_along()
-    u = rep.u_unstable
-    js = [1.0]
-    for i in range(len(ks) - 1):
-        k0, k1 = ks[i], ks[i + 1]
-        km = 0.5 * (k0 + k1)
-        a1 = -k0 - u * u
-        a2 = -km - (u + 0.5 * h * a1) ** 2
-        a3 = -km - (u + 0.5 * h * a2) ** 2
-        a4 = -k1 - (u + h * a3) ** 2
-        u_next = u + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-        js.append(js[-1] * math.exp(0.5 * h * (u + u_next)))
-        u = u_next
-    return fwd.s, np.array(js)
+    h, k_fwd, k_bwd = _two_way_curvature(metric, [s0.x], [s0.y], [s0.theta],
+                                         T, dt, s0.s)
+    _, u_unstable = _riccati_limits(h, k_fwd, k_bwd)
+    u = _riccati_along(k_fwd[:, 0], h, u_unstable[0])
+    growth = [math.exp(v) for v in 0.5 * h * (u[:-1] + u[1:])]
+    s = s0.s + (T / (len(u) - 1)) * np.arange(len(u))
+    return s, np.cumprod([1.0] + growth)
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +361,11 @@ def rank_suite(preset: str, n_geodesics: int = 100, seed: int = 0,
     metric.check_nonpositive()
     rng = np.random.default_rng(seed)
     states = [sample_state(metric, rng) for _ in range(n_geodesics)]
-    x0 = [s.x for s in states]
-    y0 = [s.y for s in states]
-    th0 = [s.theta for s in states]
-    s_f, fwd = _integrate_batch(metric, x0, y0, th0, T, dt)
-    _, bwd = _integrate_batch(metric, x0, y0, th0, -T, dt)
-    drift = np.maximum(_batch_drift(metric, s_f, fwd),
-                       _batch_drift(metric, s_f, bwd))
-    if (drift > SPEED_DRIFT_LIMIT).any():
-        raise IntegrationError(
-            f"unit-speed drift {drift.max():.2e} exceeds {SPEED_DRIFT_LIMIT}")
-    h = abs(s_f[1] - s_f[0])
-    k_fwd = metric.curvature(fwd[:, 0], fwd[:, 1])
-    k_bwd = metric.curvature(bwd[:, 0], bwd[:, 1])
+    h, k_fwd, k_bwd = _two_way_curvature(
+        metric, [s.x for s in states], [s.y for s in states],
+        [s.theta for s in states], T, dt)
     sup_k = np.maximum(np.abs(k_fwd).max(axis=0), np.abs(k_bwd).max(axis=0))
-    u_unstable = np.atleast_1d(_riccati_along(k_bwd[::-1], h))
-    u_stable = -np.atleast_1d(_riccati_along(k_fwd[::-1], h))
+    u_stable, u_unstable = _riccati_limits(h, k_fwd, k_bwd)
     disagreements = 0
     reports = []
     for i, s0 in enumerate(states):

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 
@@ -58,9 +57,10 @@ class TestConfig:
     def test_unknown_key_is_config_error(self, tmp_path, workdir):
         out, cache = workdir
         cfgf = tmp_path / "run.cfg"
-        cfgf.write_text("cutoff = 6.5\n")
-        assert run(["spectrum", "--config", cfgf, "--out", out,
-                    "--cache-dir", cache]) == cli.EXIT_CONFIG
+        for line in ("cutoff = 6.5\n", "tolerance_profile = quick\n"):
+            cfgf.write_text(line)
+            assert run(["spectrum", "--config", cfgf, "--out", out,
+                        "--cache-dir", cache]) == cli.EXIT_CONFIG
 
     def test_missing_config_file(self, workdir):
         out, cache = workdir
@@ -111,14 +111,43 @@ class TestSpectrumCache:
         with open(rep2["csv"] + ".sha256") as f:
             assert f.read().strip() == rep2["csv_sha256"]
 
-    def test_lockfile_blocks_writer(self, workdir):
+    def test_stale_lock_and_truncated_csv_are_rebuilt(self, workdir):
         out, cache = workdir
-        key = hashlib.sha256(b"spectrum|bolza|6.5").hexdigest()[:16]
-        lock = cache / f"spectrum_{key}.csv.lock"
-        lock.write_text("")
-        assert run(spectrum_args(out, cache)) == cli.EXIT_CONFIG
-        lock.unlink()
         assert run(spectrum_args(out, cache)) == 0
+        rep = json.loads((out / "spectrum_report.json").read_text())
+        with open(rep["csv"], "r+") as f:
+            f.truncate(100)
+        with open(rep["csv"] + ".lock", "w"):
+            pass
+        assert run(spectrum_args(out, cache)) == 0
+        rep2 = json.loads((out / "spectrum_report.json").read_text())
+        assert rep2["cache_hit"] is False
+        assert rep2["csv_sha256"] == rep["csv_sha256"]
+
+    def test_meta_with_other_parameters_is_rebuilt(self, workdir):
+        out, cache = workdir
+        assert run(spectrum_args(out, cache)) == 0
+        rep = json.loads((out / "spectrum_report.json").read_text())
+        meta_path = rep["csv"].replace(".csv", ".json")
+        with open(meta_path) as f:
+            meta = json.load(f)
+        meta["walk_slack"] = meta["walk_slack"] + 1.0
+        with open(meta_path, "w") as f:
+            json.dump(meta, f)
+        assert run(spectrum_args(out, cache)) == 0
+        rep2 = json.loads((out / "spectrum_report.json").read_text())
+        assert rep2["cache_hit"] is False
+        assert rep2["csv"] == rep["csv"]
+        with open(meta_path) as f:
+            assert json.load(f)["walk_slack"] == fu.DEFAULT_WALK_SLACK
+
+    def test_no_temporary_files_remain(self, workdir):
+        out, cache = workdir
+        assert run(spectrum_args(out, cache)) == 0
+        rep = json.loads((out / "spectrum_report.json").read_text())
+        name = os.path.basename(rep["csv"])
+        assert sorted(os.listdir(cache)) == sorted(
+            [name, name + ".sha256", name.replace(".csv", ".json")])
 
     def test_loaded_table_matches_built(self, workdir):
         out, cache = workdir

@@ -76,6 +76,13 @@ class TestReduceRealize:
         geo = dl.realize_geodesic(domain, cls)
         assert geo.box_count(full_box(bolza)) == geo.n
 
+    def test_class_without_axis_rejected(self, domain, table, tmp_path):
+        # a table loaded without its meta has no surface, hence no axes
+        table.save(tmp_path / "spec.csv")
+        loaded = fu.SpectrumTable.load(tmp_path / "spec.csv")
+        with pytest.raises(InvalidConfigurationError):
+            dl.realize_geodesic(domain, loaded.classes[0])
+
 
 class TestCrossings:
     def test_counts_bounded_by_segments(self, domain, table, big_boxes):

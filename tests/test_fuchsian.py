@@ -5,7 +5,8 @@ import pytest
 
 from geodlab import fuchsian as fu
 from geodlab import hypgeom as hg
-from geodlab.errors import BadSurfaceError, OutOfRangeError
+from geodlab.errors import (BadSurfaceError, OutOfRangeError,
+                            SpectrumInconsistencyError)
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +246,12 @@ class TestSpectrum:
             assert c1.length == c2.length
             assert c1.primitive == c2.primitive
             assert c1.group_id == c2.group_id
+
+    def test_load_rejects_a_file_that_is_not_a_table(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("word,length\naB,3.0\n")
+        with pytest.raises(SpectrumInconsistencyError):
+            fu.SpectrumTable.load(bad)
 
     def test_oriented_inverse_pairing(self, bolza, spectrum6):
         # the class of the inverse word has the same length; lengths pair up

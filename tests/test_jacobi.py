@@ -163,6 +163,17 @@ class TestSuite:
         assert all(r[1].rank == "rank_ge_2" for r in flat.reports)
         assert all(r[1].rank == "rank_one" for r in neg.reports)
 
+    def test_single_geodesic_matches_batch(self):
+        # riccati_subspaces and rank_classify run a batch of one; they must
+        # reproduce the suite's batched values bit for bit
+        for name in ja.PRESETS:
+            m = ja.load_metric(name)
+            for s0, rk, rc, _ in ja.rank_suite(name, 4, seed=11).reports:
+                one = ja.riccati_subspaces(m, s0)
+                assert one.u_stable == rc.u_stable
+                assert one.u_unstable == rc.u_unstable
+                assert ja.rank_classify(m, s0).sup_abs_K == rk.sup_abs_K
+
     def test_suite_is_seeded(self):
         a = ja.rank_suite("flat_strip", n_geodesics=10, seed=5)
         b = ja.rank_suite("flat_strip", n_geodesics=10, seed=5)
