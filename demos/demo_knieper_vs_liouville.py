@@ -2,10 +2,10 @@
 
 In constant curvature the measure of maximal entropy coincides with
 normalized Liouville measure, so the boundary-pair Monte Carlo (atoms from
-the Patterson-Sullivan proxy, geodesics traced through the fundamental
+the Patterson-Sullivan proxy, geodesics clipped to the fundamental
 domain) can be checked box by box against a closed-form oracle.
 
-Run: python3 demos/demo_knieper_vs_liouville.py   (about two minutes)
+Run: python3 demos/demo_knieper_vs_liouville.py   (about a minute)
 """
 
 import math

@@ -288,7 +288,7 @@ def cmd_mme(cfg: RunConfig) -> int:
     exp_rep = mme.verify_expansion(v, w, [-3.0, -1.0, 2.0, 7.0],
                                    surface.entropy_h)
     area_ok = abs(area.value - 4.0 * math.pi) < 0.005 * 4.0 * math.pi
-    passed = (rel < 0.05 and exp_rep.passed and area_ok)
+    passed = bool(rel < 0.05 and exp_rep.passed and area_ok)
     payload = {"box": _box_payload(box),
                "estimate": kn.value, "std_error": kn.std_error,
                "samples": kn.samples, "discarded": kn.discarded,

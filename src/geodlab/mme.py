@@ -2,10 +2,12 @@
 
 The measure of a phase box is computed from the boundary-pair integral: pairs
 of boundary atoms are drawn from the Patterson–Sullivan proxy density, the
-connecting geodesic is traced through the fundamental-domain window, and the
-arclength inside the box is accumulated with the e^{-h(b+b)} weight.  In
-constant curvature the result must agree with normalized Liouville measure,
-which doubles as the independent oracle.
+connecting geodesic is clipped to the fundamental domain in closed form, and
+the arclength inside the box is accumulated with the e^{-h(b+b)} weight.  The
+full-space normalization uses the exact clipped length; a box's arclength is
+traced inside its window at TRACE_STEP.  In constant curvature the result must
+agree with normalized Liouville measure, which doubles as the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .quotient import FundamentalDomain
 
 TWO_PI = 2.0 * math.pi
 PAIR_EXCLUSION = 1e-4      # minimal angular separation of boundary pairs
-TRACE_STEP = 0.01          # arclength step for geodesic tracing
+TRACE_STEP = 0.01          # arclength step for tracing box and flowed-box
+                           # windows (full space is clipped exactly)
 ASYMPTOTIC_TOL = 1e-6      # busemann tolerance for holonomy configurations
 
 
@@ -151,45 +154,59 @@ def _pair_geodesics(xi, eta):
     return z_c, theta_c, d_c
 
 
-def _trace_weighted_length(surface, domain, box, xi, eta, weights,
+def _trace_weighted_length(domain, box, xi, eta, weights,
                            flow_t: float = 0.0):
     """Per-pair weight * len(box-lift intersect geodesic), as an array.
 
-    flow_t != 0 measures the g^{flow_t}-image of the box instead: a phase
-    point w(s) counts when its base lies in F and the flowed-back point
-    w(s - flow_t) reduces into the box chart.  The image box is spread over
-    many domain translates, so this path windows on the F-crossing and
-    reduces every candidate, which costs about as much as the calibration.
+    Each geodesic meets the convex domain F in one segment [s_lo, s_hi],
+    which `FundamentalDomain.clip` gives in closed form.  The full-space
+    calibration (box None) is then exact: weight * (s_hi - s_lo).
 
-    The lift of the box lives inside the fundamental domain, so only the
-    segment of each geodesic crossing the box's position ball (or, for the
-    full-space calibration, the circumscribed disk of F) can contribute;
-    that window is computed in closed form and traced at TRACE_STEP with
-    midpoint membership tests.
+    A box's lift lives inside F, so only the crossing of its position ball
+    can contribute; that window is computed in closed form, intersected
+    with the F-segment and traced at TRACE_STEP with midpoint tests of the
+    box chart.  Where F does not cut the ball window the grid is the plain
+    TRACE_STEP grid from the window's start; where it does, the cut window
+    is split into equal steps of at most TRACE_STEP.
+
+    flow_t != 0 measures the g^{flow_t}-image of the box instead: a phase
+    point w(s) on the F-segment counts when the flowed-back point
+    w(s - flow_t) reduces into the box chart.  The image box is spread over
+    many domain translates, so this path marches the whole F-segment, in
+    equal steps of at most TRACE_STEP, and reduces every midpoint.
     """
-    z_c, theta_c, d_c = _pair_geodesics(xi, eta)
-    out = np.zeros(len(xi))
+    z_c, theta_c, _ = _pair_geodesics(xi, eta)
     ca0, cb0 = hg.carrier_ab(z_c, theta_c)
-    if box is None or flow_t != 0.0:
-        # window: the (convex) crossing of the circumscribed disk of F
-        r_limit = 0.5 * surface.domain_diameter + 1e-6
-        hit = d_c < r_limit
-        if not hit.any():
-            return out
-        idx = np.nonzero(hit)[0]
-        half = np.arccosh(np.cosh(r_limit) / np.cosh(d_c[idx]))
-        center_s = np.zeros(len(idx))
+    if box is None:
+        s_lo, s_hi = domain.clip(ca0, cb0)
+        return weights * (s_hi - s_lo)
+    out = np.zeros(len(xi))
+    if flow_t != 0.0:
+        cand = np.arange(len(xi))
+        start, end = domain.clip(ca0, cb0)
+        plain = np.zeros(len(xi), dtype=bool)
+        n_plain = np.zeros(len(xi), dtype=int)
     else:
-        # window: the crossing of the box's position ball
+        # window: the crossing of the box's position ball, cut to F
+        r = box.position_radius
         s_foot, d_foot = hg.geodesic_foot_z(ca0, cb0,
                                             np.full(len(xi), box.center.base.z))
-        hit = d_foot < box.position_radius
-        if not hit.any():
-            return out
-        idx = np.nonzero(hit)[0]
-        half = np.arccosh(np.cosh(box.position_radius) / np.cosh(d_foot[idx])) + 1e-9
-        center_s = s_foot[idx]
-    n_steps = np.maximum((2.0 * half / TRACE_STEP).astype(int), 1)
+        cand = np.nonzero(d_foot < r)[0]
+        s_lo, s_hi = domain.clip(ca0[cand], cb0[cand])
+        s_foot = s_foot[cand]
+        half = np.arccosh(np.cosh(r) / np.cosh(d_foot[cand])) + 1e-9
+        plain = (s_lo <= s_foot - half) & (s_foot + half <= s_hi)
+        n_plain = np.maximum((2.0 * half / TRACE_STEP).astype(int), 1)
+        start = np.maximum(s_foot - half, s_lo)
+        end = np.minimum(s_foot + half, s_hi)
+    keep = np.nonzero(end > start)[0]
+    if not len(keep):
+        return out
+    idx = cand[keep]
+    start, length, plain = start[keep], end[keep] - start[keep], plain[keep]
+    n_cut = np.ceil(length / TRACE_STEP).astype(int)
+    n_steps = np.where(plain, n_plain[keep], n_cut)
+    step = np.where(plain, TRACE_STEP, length / n_cut)
     ca_all, cb_all = ca0[idx], cb0[idx]
 
     # process pair blocks under a fixed midpoint budget to bound memory
@@ -203,35 +220,25 @@ def _trace_weighted_length(surface, domain, box, xi, eta, weights,
         total = int(ns.sum())
         pair_of = np.repeat(np.arange(hi - lo), ns)
         starts = np.concatenate([[0], np.cumsum(ns)[:-1]])
-        k = np.arange(total) - np.repeat(starts, ns)
-        s = (np.repeat(center_s[lo:hi] - half[lo:hi], ns)
-             + (k + 0.5) * TRACE_STEP)
+        ds = np.repeat(step[lo:hi], ns)
+        s = (np.repeat(start[lo:hi], ns)
+             + (np.arange(total) - np.repeat(starts, ns) + 0.5) * ds)
 
         ca = np.repeat(ca_all[lo:hi], ns)
         cb = np.repeat(cb_all[lo:hi], ns)
-        p0 = np.tanh(0.5 * s).astype(complex)
-        z = hg.mobius_apply_z(ca, cb, p0)
-
-        if box is None:
-            member = domain.contains_z(z)
-        elif flow_t != 0.0:
-            member = domain.contains_z(z)
-            cand = np.nonzero(member)[0]
-            if len(cand):
-                pb = np.tanh(0.5 * (s[cand] - flow_t)).astype(complex)
-                zb = hg.mobius_apply_z(ca[cand], cb[cand], pb)
-                tb = hg.mobius_dir_z(ca[cand], cb[cand], pb, 0.0)
-                zr, tr = domain.reduce_phase_z(zb, np.asarray(tb, float))
-                member[cand[~box.contains_chart(zr, tr)]] = False
+        if flow_t != 0.0:
+            pb = np.tanh(0.5 * (s - flow_t)).astype(complex)
+            zb = hg.mobius_apply_z(ca, cb, pb)
+            tb = hg.mobius_dir_z(ca, cb, pb, 0.0)
+            zr, tr = domain.reduce_phase_z(zb, np.asarray(tb, float))
+            member = box.contains_chart(zr, tr)
         else:
+            p0 = np.tanh(0.5 * s).astype(complex)
+            z = hg.mobius_apply_z(ca, cb, p0)
             theta = hg.mobius_dir_z(ca, cb, p0, 0.0)
             member = box.contains_chart(z, theta)
-            cand = np.nonzero(member)[0]
-            if len(cand):
-                sub = domain.contains_z(z[cand])
-                member[cand[~sub]] = False
-        contrib = np.where(member, TRACE_STEP, 0.0)
-        per_pair = np.bincount(pair_of, weights=contrib, minlength=hi - lo)
+        ds[~member] = 0.0
+        per_pair = np.bincount(pair_of, weights=ds, minlength=hi - lo)
         out[idx[lo:hi]] = per_pair * weights[idx[lo:hi]]
         lo = hi
     return out
@@ -275,8 +282,11 @@ def _sample_pairs(density, rng, n):
 
 def knieper_normalization(surface: fu.SurfaceModel, domain: FundamentalDomain,
                           density: de.BoundaryMeasure, n_samples=200_000,
-                          seed=0) -> float:
-    """Full-space scale: expected weighted length in F x S^1, cached."""
+                          seed=0) -> tuple[float, float]:
+    """Full-space scale: (mean weighted length in F x S^1, its standard error).
+
+    The result is cached on the density for the last (n_samples, seed).
+    """
     cache = getattr(density, "_knieper_norm", None)
     if cache is not None and cache[0] == (n_samples, seed):
         return cache[1]
@@ -284,7 +294,7 @@ def knieper_normalization(surface: fu.SurfaceModel, domain: FundamentalDomain,
     h = surface.entropy_h
     xi, eta, _ = _sample_pairs(density, rng, n_samples)
     w = _pair_weights(density.basepoint, xi, eta, h)
-    vals = _trace_weighted_length(surface, domain, None, xi, eta, w)
+    vals = _trace_weighted_length(domain, None, xi, eta, w)
     z = float(vals.mean())
     if z <= 0:
         raise DegenerateMeasureError("normalization estimate vanished")
@@ -319,8 +329,7 @@ def knieper_measure(surface: fu.SurfaceModel, domain: FundamentalDomain,
         xi, eta, disc = _sample_pairs(density, rng, m)
         discarded += disc
         w = _pair_weights(density.basepoint, xi, eta, h)
-        vals = _trace_weighted_length(surface, domain, box, xi, eta, w,
-                                      flow_t)
+        vals = _trace_weighted_length(domain, box, xi, eta, w, flow_t)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += m

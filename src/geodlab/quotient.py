@@ -2,6 +2,8 @@
 
 The fundamental domain F is the Dirichlet domain centered at the disk
 origin: points at least as close to the origin as to any orbit translate.
+It is a convex polygon cut out by its sides, so a geodesic meets it in one
+segment, which `FundamentalDomain.clip` gives in closed form.
 Reduction is greedy descent over the side-pairing generators, with the
 enumerated test-set ball as a certifying fallback.
 """
@@ -17,10 +19,19 @@ from .errors import ReductionFailureError
 DESCENT_BUDGET = 10_000
 DESCENT_EPS = 1e-13     # relative decrease required to count as progress
 MEMBERSHIP_TOL = 1e-9
+SIDE_EDGE_TOL = 1e-9    # Klein-model edge length below which a bisector
+                        # only touches F at a vertex
 
 
 class FundamentalDomain:
-    """Dirichlet domain of a surface group, centered at the origin."""
+    """Dirichlet domain of a surface group, centered at the origin.
+
+    F is the convex polygon cut out by its sides: for each side element g
+    the half-plane of points at least as close to o as to g^{-1} o.  The
+    sides are the test-set elements whose bisector carries an edge of F of
+    positive length (Beardon, The Geometry of Discrete Groups, 9.4); for
+    the Bolza surface they are the 8 generator letters.
+    """
 
     def __init__(self, surface: fu.SurfaceModel, test_radius: float | None = None):
         self.surface = surface
@@ -33,31 +44,63 @@ class FundamentalDomain:
         a, b = hg.normalize_ab(ball.a[sel], ball.b[sel])
         self.test_a = a
         self.test_b = b
-        # face set: elements whose bisector cuts the interior of F (bisector
-        # distance disp/2 strictly below the circumradius); elements whose
-        # bisector only touches a vertex are redundant for membership
-        faces = ball.disp[sel] / 2.0 < 0.5 * surface.domain_diameter - 1e-9
-        self.face_a = a[faces]
-        self.face_b = b[faces]
+        # hyperboloid point (c + 1, q) of each neighbour centre g^{-1} o, with
+        # the space part q as a complex number; F lies in the half-space
+        # x0 c - Re(x conj q) >= 0 of every test element
+        c = np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0
+        q = -2.0 * b * np.conj(a)
+        side = _edge_lengths(c, q) > SIDE_EDGE_TOL
+        self.side_a = a[side]
+        self.side_b = b[side]
+        self._side_c = c[side]
+        self._side_q = q[side]
 
     # -- membership -------------------------------------------------------
 
     def contains_z(self, z, tol=MEMBERSHIP_TOL, *, full=False):
         """Vectorized Dirichlet membership: no translate is closer to o.
 
-        dist(gamma z, o) >= dist(z, o) - tol for every face element (or the
-        whole test set when full=True; the face set is equivalent away from
-        measure-zero vertex ties).
+        dist(gamma z, o) >= dist(z, o) - tol for every side element, whose
+        half-planes cut out F (or for the whole test set when full=True,
+        the reference the sides are checked against).
         """
         z = np.atleast_1d(np.asarray(z, complex))
         d0 = hg.dist_z(z, 0j)
         ok = np.ones(len(z), dtype=bool)
-        ta = self.test_a if full else self.face_a
-        tb = self.test_b if full else self.face_b
+        ta = self.test_a if full else self.side_a
+        tb = self.test_b if full else self.side_b
         for a, b in zip(ta, tb):
             w = hg.mobius_apply_z(a, b, z)
             ok &= hg.dist_z(w, 0j) >= d0 - tol
         return ok
+
+    def clip(self, ca, cb):
+        """Exact F-segment of each carried geodesic: (s_lo, s_hi) arrays.
+
+        The isometry (ca, cb) carries the real diameter, s -> tanh(s/2), to
+        the geodesic; on the hyperboloid that is x(s) = cosh s P + sinh s V.
+        Each side's half-space reads alpha cosh s + beta sinh s >= 0, a
+        bound on tanh s, and F being convex the segment is the intersection
+        of the bounds.  A geodesic that misses F gets s_lo = s_hi = 0.
+        """
+        ca = np.asarray(ca, complex)[:, None]
+        cb = np.asarray(cb, complex)[:, None]
+        # P = (p0, p) and V = (v0, v), space parts as complex numbers
+        p0 = np.abs(ca) ** 2 + np.abs(cb) ** 2
+        p = 2.0 * ca * cb
+        v0 = 2.0 * (ca * np.conj(cb)).real
+        v = ca * ca + cb * cb
+        alpha = p0 * self._side_c - (p * np.conj(self._side_q)).real
+        beta = v0 * self._side_c - (v * np.conj(self._side_q)).real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = -alpha / beta
+        t_lo = np.max(np.where(beta > 0, root, -1.0), axis=1)
+        t_hi = np.min(np.where(beta < 0, root, 1.0), axis=1)
+        empty = (t_lo >= t_hi) | ((beta == 0) & (alpha < 0)).any(axis=1)
+        # only a miss can leave a bound at +-1: zero it before arctanh
+        s_lo = np.arctanh(np.where(empty, 0.0, t_lo))
+        s_hi = np.arctanh(np.where(empty, 0.0, t_hi))
+        return s_lo, s_hi
 
     def contains(self, p: hg.DiskPoint, tol=MEMBERSHIP_TOL) -> bool:
         return bool(self.contains_z(np.array([p.z]), tol)[0])
@@ -136,3 +179,28 @@ class FundamentalDomain:
         zr, a, b = self.reduce_z(z)
         tr = hg.mobius_dir_z(a, b, np.asarray(z, complex), np.asarray(theta, float))
         return zr, tr
+
+
+def _edge_lengths(c, q):
+    """Klein-model length of the edge each half-plane contributes to F.
+
+    In the Klein model F is the Euclidean convex polygon of k with
+    Re(k conj q_j) <= c_j.  Line j is clipped to the unit disk and to
+    every other half-plane; a bisector that only touches a vertex of F gets
+    a length of zero up to rounding, possibly negative.
+    """
+    qn = np.abs(q)
+    foot = c / qn * (q / qn)                   # nearest point of line j to o
+    u = 1j * q / qn                            # unit direction of line j
+    half = np.sqrt(1.0 - np.abs(foot) ** 2)
+    # k = foot_j + t u_j meets half-plane i where t * du_ji <= room_ji
+    du = (u[:, None] * np.conj(q[None, :])).real
+    room = c[None, :] - (foot[:, None] * np.conj(q[None, :])).real
+    np.fill_diagonal(du, 0.0)
+    np.fill_diagonal(room, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = room / du
+    t_hi = np.minimum(np.min(np.where(du > 0, t, np.inf), axis=1), half)
+    t_lo = np.maximum(np.max(np.where(du < 0, t, -np.inf), axis=1), -half)
+    parallel_out = ((du == 0) & (room < 0)).any(axis=1)
+    return np.where(parallel_out, -np.inf, t_hi - t_lo)

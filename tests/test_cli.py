@@ -77,6 +77,14 @@ class TestConfig:
         assert run(["mme", "--box", "0.1,0.2,0.3", "--out", out,
                     "--cache-dir", cache]) == cli.EXIT_CONFIG
 
+    def test_mme_writes_its_report(self, workdir):
+        out, cache = workdir
+        rc = run(["mme", "--samples", "20000", "--out", out,
+                  "--cache-dir", cache])
+        rep = json.loads((out / "mme_report.json").read_text())
+        assert isinstance(rep["passed"], bool)
+        assert rc == (0 if rep["passed"] else cli.EXIT_ACCEPTANCE)
+
     def test_cache_env_variable(self, workdir, monkeypatch):
         out, cache = workdir
         monkeypatch.setenv(cli.CACHE_ENV, str(cache))

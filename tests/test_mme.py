@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,56 @@ class TestPairGeodesics:
         xi, eta, disc = mme._sample_pairs(shell_density, rng, 5000)
         assert np.abs(np.angle(xi / eta)).min() >= mme.PAIR_EXCLUSION
         assert disc >= 0
+
+
+class TestExactLength:
+    def test_lengths_match_a_march(self, bolza, domain, shell_density):
+        rng = np.random.default_rng(37)
+        xi, eta, _ = mme._sample_pairs(shell_density, rng, 2000)
+        exact = mme._trace_weighted_length(domain, None, xi, eta,
+                                           np.ones(len(xi)))
+        # midpoint march over the circumscribed disk's chord, full test set
+        z_c, th_c, _ = mme._pair_geodesics(xi, eta)
+        ca, cb = hg.carrier_ab(z_c, th_c)
+        step = mme.TRACE_STEP
+        n = int(2.0 * bolza.domain_radius / step) + 2
+        s = (np.arange(-n, n) + 0.5) * step
+        marched = np.empty(len(xi))
+        for k in range(len(xi)):
+            z = hg.mobius_apply_z(ca[k], cb[k],
+                                  np.tanh(0.5 * s).astype(complex))
+            marched[k] = step * domain.contains_z(z, full=True).sum()
+        assert np.abs(exact - marched).max() < step
+        assert (marched > 0).sum() > 500
+
+    def test_geodesics_through_a_vertex(self, bolza, domain):
+        # the diagonal through the vertex crosses F in 2 * circumradius;
+        # other lines through it cross F briefly or touch it only there
+        r = bolza.domain_radius
+        vertex = math.tanh(r / 2) * np.exp(1j * math.pi / 8)
+        xi, eta = [], []
+        for theta in math.pi / 8 + np.linspace(0, math.pi, 13):
+            fw, bw = hg.endpoints(hg.PhasePoint(hg.DiskPoint(complex(vertex)),
+                                                float(theta)))
+            xi.append(fw.u)
+            eta.append(bw.u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ell = mme._trace_weighted_length(domain, None, np.array(xi),
+                                             np.array(eta), np.ones(len(xi)))
+        assert np.isfinite(ell).all() and (ell >= 0).all()
+        assert abs(ell[0] - 2.0 * r) < 1e-9
+
+    def test_misses_are_zero_without_warnings(self, domain):
+        # pairs with a small gap span geodesics far from F
+        gap = np.array([1e-3, 0.05, 0.3, 2.0])
+        xi = np.exp(1j * (1.0 + gap))
+        eta = np.full(len(gap), np.exp(1j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ell = mme._trace_weighted_length(domain, None, xi, eta,
+                                             np.ones(len(gap)))
+        assert (ell[:3] == 0.0).all() and ell[3] > 0
 
 
 class TestKnieperMeasure:

@@ -45,13 +45,63 @@ class TestMembership:
         z = math.tanh(rout / 2) * np.exp(1j * ang)
         assert not domain.contains_z(z, tol=0.0).any()
 
-    def test_face_set_matches_full_test_set(self, domain):
+    def test_face_set_matches_full_test_set(self, bolza, domain):
         rng = np.random.default_rng(3)
         z = random_disk_points(rng, 2000, r_max=0.92)
-        assert (domain.contains_z(z) == domain.contains_z(z, full=True)).all()
+        # plus the annulus between inradius and circumradius, where only
+        # the sides decide membership
+        rin = 0.5 * bolza.generator(0).displacement()
+        rout = 0.5 * bolza.domain_diameter
+        d = rng.uniform(rin, rout, 4000)
+        ring = np.tanh(d / 2) * np.exp(1j * rng.uniform(0, 2 * math.pi, 4000))
+        z = np.concatenate([z, ring])
+        inside = domain.contains_z(z)
+        assert (inside == domain.contains_z(z, full=True)).all()
+        assert 0 < inside[2000:].sum() < 4000
 
-    def test_face_set_is_proper_subset(self, domain):
-        assert 8 <= len(domain.face_a) <= len(domain.test_a)
+    def test_sides_are_the_generator_letters(self, bolza, domain):
+        assert len(domain.side_a) == bolza.n_letters == 8
+        for a, b in zip(domain.side_a, domain.side_b):
+            match = ((np.abs(bolza.gen_a - a) < 1e-9)
+                     & (np.abs(bolza.gen_b - b) < 1e-9))
+            assert match.sum() == 1
+        disp = hg.displacement_ab(domain.side_a, domain.side_b)
+        systole = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
+        assert np.abs(disp - systole).max() < 1e-9
+
+
+class TestClip:
+    def test_crofton_mean_chord(self, bolza, domain):
+        # Geodesics from the invariant measure cosh p dp dphi that meet the
+        # circumscribed disk D_r: p = asinh(u sinh r) is the distance of the
+        # closest point tanh(p/2) e^{i phi}, the direction phi + pi/2.
+        # Crofton and Gauss-Bonnet: E[len(G & F)] = pi * 4 pi / (2 pi sinh r).
+        rng = np.random.default_rng(29)
+        n = 400_000
+        r = bolza.domain_radius
+        p = np.arcsinh(rng.uniform(0, 1, n) * math.sinh(r))
+        phi = rng.uniform(0, 2 * math.pi, n)
+        ca, cb = hg.carrier_ab(np.tanh(p / 2) * np.exp(1j * phi),
+                               phi + 0.5 * math.pi)
+        s_lo, s_hi = domain.clip(ca, cb)
+        ell = s_hi - s_lo
+        assert (ell >= 0).all()
+        se = ell.std(ddof=1) / math.sqrt(n)
+        assert abs(ell.mean() - 2.0 * math.pi / math.sinh(r)) < 6.0 * se
+
+    def test_segment_ends_on_the_boundary(self, domain):
+        # points just inside the segment are in F, points just outside not
+        rng = np.random.default_rng(31)
+        z = random_disk_points(rng, 500, r_max=0.8)
+        ca, cb = hg.carrier_ab(z, rng.uniform(0, 2 * math.pi, 500))
+        s_lo, s_hi = domain.clip(ca, cb)
+        hit = s_hi > s_lo + 1e-3
+        assert hit.sum() > 100
+        for s, inside in ((s_lo + 1e-6, True), (s_hi - 1e-6, True),
+                          (s_lo - 1e-6, False), (s_hi + 1e-6, False)):
+            w = hg.mobius_apply_z(ca[hit], cb[hit],
+                                  np.tanh(0.5 * s[hit]).astype(complex))
+            assert (domain.contains_z(w, tol=0.0, full=True) == inside).all()
 
 
 class TestReduce:
