@@ -39,7 +39,7 @@ CACHE_ENV = "GEODLAB_CACHE"
 class RunConfig:
     surface: str = "bolza"
     radius: float = 10.0
-    t_grid: list = field(default_factory=lambda: [8.0, 10.0, 12.0])
+    t_grid: list = field(default_factory=lambda: [6.0, 8.0, 9.0])
     epsilon: float = 0.5
     samples: int = 200_000
     seed: int = 0

@@ -1,14 +1,19 @@
 """Cocompact Fuchsian surface groups: enumeration and the length spectrum.
 
-The workhorse is a pruned breadth-first search over the Cayley graph with
-matrix deduplication on a quantized grid.  Matrices are *not* rescaled to
-unit determinant during the search: the determinant drifts by less than
-1e-8 over desk-scale radii, while rescaling computes |a|^2 - |b|^2 with
-catastrophic cancellation and injects noise larger than the dedup grid.
+The Bolza group is arithmetic.  Every element is (a, b) = (alpha, beta*gamma)
+with alpha and gamma in Z[zeta8], zeta = exp(i pi/4), and beta =
+sqrt(2 + 2 sqrt 2), whose square lies in Z[zeta8] (Aurich, Bogomolny &
+Steiner, Physica D 48, 1991).  So an element is a row of 8 integers, the
+coefficients of alpha and gamma on 1, zeta, zeta^2, zeta^3, and products,
+equality, conjugacy and length ties are integer operations.  Floats are only
+views for the geometry: ``Ball.a``, ``Ball.b``, displacements and axes.
 
-Conjugacy classes are built by a conjugation walk (breadth-first search by
-single-generator conjugation, bounded displacement), cross-validated against
-an independent cyclic-word canonicalization pipeline on small lengths.
+The orbit ball is a pruned breadth-first search over the Cayley graph, one
+integer product per letter and level, deduplicated through sorted 64-bit
+row hashes with a full-row check on every hash hit.  Conjugacy classes are
+the connected components of the stored elements under conjugation by single
+generators, cross-validated against an independent cyclic-word
+canonicalization on small lengths.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -26,9 +32,135 @@ from .errors import (
     PartialEnumerationError, SpectrumInconsistencyError,
 )
 
-GRID = 1e-6          # dedup quantization grid for matrix entries
-BOUNDARY_BAND = 2e-3  # fraction of a cell treated as a boundary case
 LETTER_NAMES = "aAbBcCdDeEfF"  # letter 2k = generator k, 2k+1 = its inverse
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic: an element (alpha, gamma) is a row of 8 integers
+
+SQRT2 = math.sqrt(2.0)
+BETA = math.sqrt(2.0 + 2.0 * SQRT2)
+BETA2 = np.array([2, 2, 0, -2])          # beta^2 = 2 + 2 sqrt 2, sqrt 2 = zeta - zeta^3
+IDENTITY = np.array([1, 0, 0, 0, 0, 0, 0, 0])
+# odd multipliers of the row hash; any collision is caught by a row check
+_HASH = np.array([-1595899065556913669, 4494335611049888189, -1672097382897533453,
+                  2661394185906659235, 3411693142509005041, -1004565349755026245,
+                  -572938594420973863, -1173684208904758251])
+
+
+# zeta^i * y is y shifted i places, negated where it wraps (zeta^4 = -1)
+_SHIFT = (np.arange(4)[None, :] - np.arange(4)[:, None]) % 4
+_WRAP = np.where(np.arange(4)[None, :] < np.arange(4)[:, None], -1, 1)
+
+
+def _zmul(x, y):
+    """Product in Z[zeta8] over the last axis."""
+    return (x[..., None, :] @ (y[..., _SHIFT] * _WRAP))[..., 0, :]
+
+
+def _zconj(x):
+    """Complex conjugate in Z[zeta8]: zeta -> zeta^-1 = -zeta^3."""
+    return np.stack([x[..., 0], -x[..., 3], -x[..., 2], -x[..., 1]], axis=-1)
+
+
+def ring_compose(u, v):
+    """Matrix product of elements given as integer rows (..., 8)."""
+    a1, g1, a2, g2 = u[..., :4], u[..., 4:], v[..., :4], v[..., 4:]
+    return np.concatenate([_zmul(a1, a2) + _zmul(BETA2, _zmul(g1, _zconj(g2))),
+                           _zmul(a1, g2) + _zmul(g1, _zconj(a2))], axis=-1)
+
+
+def ring_to_ab(rows):
+    """Float (a, b) of integer rows."""
+    h = math.sqrt(0.5)
+
+    def value(c):
+        return (c[..., 0] + (c[..., 1] - c[..., 3]) * h) \
+            + 1j * (c[..., 2] + (c[..., 1] + c[..., 3]) * h)
+    return value(rows[..., :4]), BETA * value(rows[..., 4:])
+
+
+def ring_trace(rows):
+    """Signed trace 2 Re(alpha) = m + n sqrt 2, m = 2 c0, n = c1 - c3."""
+    return 2 * rows[..., 0] + (rows[..., 1] - rows[..., 3]) * SQRT2
+
+
+def trace_length(tr):
+    """Translation length of elements of trace tr (0 for |tr| <= 2)."""
+    return 2.0 * np.arccosh(np.maximum(np.abs(tr), 2.0) / 2.0)
+
+
+def _right_matrices(ring):
+    """(n, 8, 8) integer matrices R with row @ R[l] = row * letter l."""
+    return ring_compose(np.eye(8, dtype=np.int64), ring[:, None, :])
+
+
+def _conjugation_matrices(ring):
+    """(n, 8, 8) integer matrices C with row @ C[l] = g_l row g_l^-1."""
+    left = ring_compose(ring[:, None, :], np.eye(8, dtype=np.int64))
+    return ring_compose(left, ring[np.arange(len(ring)) ^ 1, None, :])
+
+
+def _row_hash(rows):
+    return rows.astype(np.int64) @ _HASH     # wraps modulo 2^64
+
+
+def _first_copies(rows, h):
+    """Sorted indices of the first copy of each distinct row."""
+    keep, todo = [], np.arange(len(rows))
+    while len(todo):
+        _, first, inv = np.unique(h[todo], return_index=True, return_inverse=True)
+        head = todo[first]
+        keep.append(head)
+        todo = todo[(rows[todo] != rows[head[inv]]).any(axis=1)]
+    return np.sort(np.concatenate(keep)) if keep else todo
+
+
+class _RowIndex:
+    """Exact index of stored integer rows.
+
+    Rows are found through their sorted 64-bit hashes; every hash hit is
+    confirmed by comparing the full row, so a collision never merges two
+    elements.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.hash = _row_hash(rows)
+        self.order = np.argsort(self.hash, kind="stable")
+        self.hash = self.hash[self.order]
+
+    def find(self, q, h=None):
+        """Stored position of each row of q, or -1."""
+        h = _row_hash(q) if h is None else h
+        at = np.searchsorted(self.hash, h)
+        out = np.full(len(q), -1, dtype=np.int64)
+        todo = np.arange(len(q))
+        while len(todo):
+            live = at[todo] < len(self.hash)
+            todo = todo[live]
+            todo = todo[self.hash[at[todo]] == h[todo]]
+            pos = self.order[at[todo]]
+            hit = (self.rows[pos] == q[todo]).all(axis=1)
+            out[todo[hit]] = pos[hit]
+            todo = todo[~hit]
+            at[todo] += 1
+        return out
+
+    def add_new(self, q):
+        """Store the rows of q not yet stored, first copy of each; return
+        their indices in q, in order."""
+        h = _row_hash(q)
+        new = _first_copies(q, h)
+        new = new[self.find(q[new], h[new]) < 0]
+        base = len(self.rows)
+        self.rows = np.concatenate([self.rows, q[new]])
+        hn = h[new]
+        o = np.argsort(hn, kind="stable")
+        at = np.searchsorted(self.hash, hn[o])
+        self.hash = np.insert(self.hash, at, hn[o])
+        self.order = np.insert(self.order, at, base + o)
+        return new
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +171,13 @@ class SurfaceModel:
     """A cocompact surface group given by generator matrices and a relator.
 
     Letters are indexed 0..4g-1; the inverse of letter i is i XOR 1.
+    ``ring`` holds each letter exactly as its integer row (alpha, gamma).
     """
 
     name: str
     gen_a: np.ndarray          # (4g,) complex
     gen_b: np.ndarray          # (4g,) complex
+    ring: np.ndarray           # (4g, 8) integer
     relator: tuple[int, ...]
     entropy_h: float
     domain_diameter: float     # diameter bound of the Dirichlet domain
@@ -70,25 +204,27 @@ def bolza() -> SurfaceModel:
     """Genus-2 Bolza surface: regular octagon, curvature -1, entropy 1.
 
     The four generators are rotations by k*pi/4 of the matrix with diagonal
-    1+sqrt(2) and off-diagonal sqrt(2+2*sqrt(2)).
+    1+sqrt(2) and off-diagonal sqrt(2+2*sqrt(2)): alpha = 1 + zeta - zeta^3
+    and gamma = zeta^k, negated for the inverse.
     """
-    s2 = math.sqrt(2.0)
-    a0 = 1.0 + s2
-    b0 = math.sqrt(2.0 + 2.0 * s2)
+    a0 = 1.0 + SQRT2
     ga = np.zeros(8, dtype=complex)
     gb = np.zeros(8, dtype=complex)
+    ring = np.zeros((8, 8), dtype=np.int64)
     for k in range(4):
         phase = np.exp(1j * k * math.pi / 4.0)
-        ga[2 * k], gb[2 * k] = a0, b0 * phase
-        ga[2 * k + 1], gb[2 * k + 1] = a0, -b0 * phase
+        ga[2 * k], gb[2 * k] = a0, BETA * phase
+        ga[2 * k + 1], gb[2 * k + 1] = a0, -BETA * phase
+        ring[2 * k:2 * k + 2, :4] = (1, 1, 0, -1)
+        ring[2 * k:2 * k + 2, 4 + k] = (1, -1)
     # g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 closes to the identity
     relator = (0, 3, 4, 7, 1, 2, 5, 6)
     # Dirichlet octagon: inradius = half the generator displacement,
     # circumradius from the right triangle (apothem, half-side, vertex)
-    inradius = math.acosh(1.0 + s2)
+    inradius = math.acosh(a0)
     circum = math.atanh(math.tanh(inradius) / math.cos(math.pi / 8.0))
     return _validated(SurfaceModel(
-        name="bolza", gen_a=ga, gen_b=gb, relator=relator,
+        name="bolza", gen_a=ga, gen_b=gb, ring=ring, relator=relator,
         entropy_h=1.0, domain_diameter=2.0 * circum))
 
 
@@ -97,44 +233,31 @@ def _validated(s: SurfaceModel) -> SurfaceModel:
         raise BadSurfaceError("entropy must be positive")
     if s.n_letters % 2 or s.n_letters < 4:
         raise BadSurfaceError("need an even number of letters (generators + inverses)")
-    for i in range(0, s.n_letters, 2):
-        ai, bi = hg.inverse_ab(s.gen_a[i], s.gen_b[i])
-        if abs(ai - s.gen_a[i + 1]) > 1e-9 or abs(bi - s.gen_b[i + 1]) > 1e-9:
-            raise BadSurfaceError(f"letter {i + 1} is not the inverse of letter {i}")
-        if abs(2 * s.gen_a[i].real) <= 2.0 + 1e-9:
-            raise BadSurfaceError(f"generator {i // 2} is not hyperbolic")
-        det = abs(s.gen_a[i]) ** 2 - abs(s.gen_b[i]) ** 2
-        if abs(det - 1.0) > 1e-9:
-            raise BadSurfaceError(f"generator {i // 2} does not have unit determinant")
-    ra, rb = s.eval_word(s.relator)
-    if min(abs(ra - 1) + abs(rb), abs(ra + 1) + abs(rb)) > 1e-8:
-        raise BadSurfaceError("relator does not close to +-identity")
+    a, b = ring_to_ab(s.ring)
+    if max(np.abs(a - s.gen_a).max(), np.abs(b - s.gen_b).max()) > 1e-12:
+        raise BadSurfaceError("generator matrices differ from their ring form")
+    g = s.ring[0::2]
+    inv = np.concatenate([_zconj(g[:, :4]), -g[:, 4:]], axis=1)
+    if not np.array_equal(s.ring[1::2], inv):
+        raise BadSurfaceError("letter 2k+1 is not the inverse of letter 2k")
+    if (np.abs(ring_trace(g)) <= 2.0).any():
+        raise BadSurfaceError("a generator is not hyperbolic")
+    right = _right_matrices(s.ring)
+    if not (right[0::2] @ right[1::2] == np.eye(8)).all():
+        raise BadSurfaceError("a generator does not have unit determinant")
+    if not np.array_equal(reduce(np.matmul, right[list(s.relator)], IDENTITY), IDENTITY):
+        raise BadSurfaceError("relator does not close to the identity")
     return s
 
 
 PRESETS = {"bolza": bolza}
 
 
-def load_surface(config) -> SurfaceModel:
-    """Build and validate a surface from a preset name or a config mapping."""
-    if isinstance(config, str):
-        try:
-            return PRESETS[config]()
-        except KeyError:
-            raise BadSurfaceError(f"unknown surface preset {config!r}") from None
-    gens = config["generators"]  # list of [re_a, im_a, re_b, im_b] per generator
-    ga, gb = [], []
-    for g in gens:
-        a = complex(g[0], g[1])
-        b = complex(g[2], g[3])
-        ga += [a, complex(a.real, -a.imag)]
-        gb += [b, -b]
-    return _validated(SurfaceModel(
-        name=str(config.get("name", "custom")),
-        gen_a=np.array(ga), gen_b=np.array(gb),
-        relator=tuple(int(x) for x in config["relator"]),
-        entropy_h=float(config["entropy_h"]),
-        domain_diameter=float(config["domain_diameter"])))
+def load_surface(name) -> SurfaceModel:
+    """Build and validate a preset surface by name."""
+    if not isinstance(name, str) or name not in PRESETS:
+        raise BadSurfaceError(f"unknown surface preset {name!r}")
+    return PRESETS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -153,94 +276,6 @@ def str_to_word(s):
 
 
 # ---------------------------------------------------------------------------
-# quantized matrix index
-
-def _quantize(a, b):
-    """Sign-normalized integer cell keys plus in-cell offsets.
-
-    Sign normalization uses Re(a) > 0, which is unambiguous for the elements
-    of a torsion-free cocompact group (|trace| >= 2).
-    """
-    a = np.atleast_1d(np.asarray(a, complex))
-    b = np.atleast_1d(np.asarray(b, complex))
-    s = np.where(a.real < 0, -1.0, 1.0)
-    m = np.stack([a.real * s, a.imag * s, b.real * s, b.imag * s], axis=1) / GRID
-    k = np.floor(m + 0.5).astype(np.int64)
-    frac = m - k
-    return k, frac
-
-
-class MatrixIndex:
-    """Dictionary of group elements keyed by quantized matrix entries.
-
-    Candidate lookups probe neighboring cells in the coordinates that fall
-    within the boundary band, so float twins that straddle a cell boundary
-    are still identified.
-    """
-
-    def __init__(self):
-        self._map: dict[bytes, int] = {}
-
-    def __len__(self):
-        return len(self._map)
-
-    def find(self, krow, frow) -> int | None:
-        hit = self._map.get(krow.tobytes())
-        if hit is not None:
-            return hit
-        coords = np.nonzero(np.abs(np.abs(frow) - 0.5) < BOUNDARY_BAND)[0]
-        for mask in range(1, 1 << len(coords)):
-            kk = krow.copy()
-            for j, c in enumerate(coords):
-                if mask >> j & 1:
-                    kk[c] += 1 if frow[c] > 0 else -1
-            hit = self._map.get(kk.tobytes())
-            if hit is not None:
-                return hit
-        return None
-
-    def find_wide(self, krow) -> int | None:
-        """Probe the full 3^4 neighborhood (used for reconstructed matrices)."""
-        for d0 in (0, -1, 1):
-            for d1 in (0, -1, 1):
-                for d2 in (0, -1, 1):
-                    for d3 in (0, -1, 1):
-                        kk = krow + np.array([d0, d1, d2, d3], dtype=np.int64)
-                        hit = self._map.get(kk.tobytes())
-                        if hit is not None:
-                            return hit
-        return None
-
-    def insert(self, krow, value):
-        self._map[krow.tobytes()] = value
-
-    def insert_new(self, k, frac, base) -> list[int]:
-        """Insert the rows not already present; return their positions.
-
-        Rows clear of the cell-boundary band only need the exact key probe,
-        so the byte keys are sliced out of one buffer and hit the dict
-        directly; the neighbor search runs only on the banded minority.
-        """
-        band = (np.abs(np.abs(frac) - 0.5) < BOUNDARY_BAND).any(axis=1)
-        buf = np.ascontiguousarray(k).tobytes()
-        kmap = self._map
-        new: list[int] = []
-        for i in range(len(k)):
-            key = buf[32 * i:32 * i + 32]
-            if key in kmap:
-                continue
-            if band[i] and self.find(k[i], frac[i]) is not None:
-                continue
-            kmap[key] = base + len(new)
-            new.append(i)
-        return new
-
-    def find_matrix(self, a, b) -> int | None:
-        k, f = _quantize(a, b)
-        return self.find(k[0], f[0])
-
-
-# ---------------------------------------------------------------------------
 # ball enumeration
 
 @dataclass
@@ -254,21 +289,23 @@ class Ball:
     """All group elements with displacement <= radius, with word recovery.
 
     Storage covers the pruned search region (displacement <= radius +
-    c_prune); ``inside`` masks the contractual ball.  Words are recovered by
-    climbing parent pointers.
+    c_prune); ``inside`` masks the contractual ball.  ``rows`` holds each
+    element exactly, ``a`` and ``b`` are its float view.  Words are
+    recovered by climbing parent pointers.
     """
 
-    def __init__(self, surface, radius, c_prune, a, b, disp, parent, letter, index):
+    def __init__(self, surface, radius, c_prune, index, disp, parent, letter):
         self.surface = surface
         self.radius = radius
         self.c_prune = c_prune
-        self.a = a
-        self.b = b
+        self._index = index
+        self.rows = index.rows
+        self.a, self.b = ring_to_ab(self.rows)
         self.disp = disp
         self.parent = parent
         self.letter = letter
-        self.index = index       # MatrixIndex over all stored elements
         self.inside = disp <= radius
+        self._by_trace = None
 
     @property
     def size(self) -> int:
@@ -295,8 +332,22 @@ class Ball:
         for i in np.nonzero(self.inside)[0]:
             yield self.element(int(i))
 
+    def find(self, rows):
+        """Stored position of each integer row, or -1."""
+        return self._index.find(rows)
+
     def contains_matrix(self, a, b) -> bool:
-        return self.index.find_matrix(a, b) is not None
+        """Whether +-(a, b) is a stored element, to relative accuracy 1e-9."""
+        if self._by_trace is None:
+            order = np.argsort(np.abs(self.a.real))
+            self._by_trace = order, np.abs(self.a.real[order])
+        order, key = self._by_trace
+        tol = 1e-9 * (abs(a) + abs(b))
+        lo, hi = np.searchsorted(key, [abs(a.real) - tol, abs(a.real) + tol])
+        i = order[lo:hi]
+        err = np.minimum(np.abs(self.a[i] - a) + np.abs(self.b[i] - b),
+                         np.abs(self.a[i] + a) + np.abs(self.b[i] + b))
+        return bool((err <= tol).any())
 
 
 DEFAULT_HARD_CAP = 16.0
@@ -311,90 +362,81 @@ DEFAULT_C_PRUNE = 2.0
 def enumerate_ball(surface: SurfaceModel, R: float, *, c_prune: float = DEFAULT_C_PRUNE,
                    hard_cap: float = DEFAULT_HARD_CAP,
                    max_elements: int = 30_000_000) -> Ball:
-    """Pruned BFS over the Cayley graph, deduplicated by matrix."""
+    """Pruned BFS over the Cayley graph, deduplicated by exact element."""
     if R > hard_cap:
         raise OutOfRangeError(f"R = {R} exceeds the hard cap {hard_cap}")
-    *parts, index = _orbit_bfs(surface, R + c_prune, max_elements=max_elements,
-                               c_prune=c_prune)
-    return Ball(surface, R, c_prune, *parts, index)
+    parts = _orbit_bfs(surface, R + c_prune, max_elements=max_elements,
+                       c_prune=c_prune)
+    return Ball(surface, R, c_prune, *parts)
 
 
 def brute_force_ball(surface: SurfaceModel, max_word_len: int) -> Ball:
     """Exhaustive word search without displacement pruning (test oracle)."""
-    a, b, d, parent, letter, index = _orbit_bfs(surface, math.inf,
-                                                max_levels=max_word_len)
-    return Ball(surface, float(d.max()), 0.0, a, b, d, parent, letter, index)
+    index, d, parent, letter = _orbit_bfs(surface, math.inf, max_levels=max_word_len)
+    return Ball(surface, float(d.max()), 0.0, index, d, parent, letter)
 
 
 def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, max_elements=math.inf,
                c_prune=0.0):
-    """Level-by-level BFS over reduced words, deduplicated by matrix.
+    """Level-by-level BFS over reduced words, deduplicated by exact element.
 
     Each level extends the previous level's new elements by every letter
-    but the backtrack, drops those with displacement above ``cutoff`` and
-    keeps the first of each matrix not seen before.  Stops when a level adds
-    nothing or after ``max_levels`` levels.  Returns (a, b, disp, parent,
-    letter, index) with the identity at position 0.
+    but the backtrack, drops those with displacement above ``cutoff`` (from
+    the float view, before any integer product is formed) and keeps the
+    first of each element not seen before.  Stops when a level adds nothing
+    or after ``max_levels`` levels.  Returns (index, disp, parent, letter)
+    with the identity at position 0.
     """
     nl = surface.n_letters
     ga, gb = surface.gen_a, surface.gen_b
-
-    a_parts = [np.array([1 + 0j])]
-    b_parts = [np.array([0j])]
+    right = _right_matrices(surface.ring)
+    index = _RowIndex(IDENTITY[None, :].astype(np.int32))
     d_parts = [np.array([0.0])]
     p_parts = [np.array([-1], dtype=np.int64)]
     l_parts = [np.array([-1], dtype=np.int8)]
-    index = MatrixIndex()
-    k0, _ = _quantize(np.array([1 + 0j]), np.array([0j]))
-    index.insert(k0[0], 0)
     total = 1
 
-    fa = np.array([1 + 0j])
-    fb = np.array([0j])
+    fr = index.rows
     fi = np.array([0], dtype=np.int64)
     fl = np.array([-1], dtype=np.int8)
 
     level = 0
-    while len(fa) and level < max_levels:
+    while len(fr) and level < max_levels:
         level += 1
         # expand frontier by all letters, skipping the immediate backtrack
+        fa, fb = ring_to_ab(fr)
         na = (fa[:, None] * ga[None, :] + fb[:, None] * np.conj(gb)[None, :]).ravel()
-        nb = (fa[:, None] * gb[None, :] + fb[:, None] * np.conj(ga)[None, :]).ravel()
-        src = np.repeat(fi, nl)
-        let = np.tile(np.arange(nl, dtype=np.int8), len(fa))
-        back = np.repeat(fl, nl) == (let ^ 1)
-        disp = hg.displacement_ab(na, nb)
-        keep = (disp <= cutoff) & ~back
-        na, nb, src, let, disp = na[keep], nb[keep], src[keep], let[keep], disp[keep]
-        if not len(na):
+        src = np.repeat(np.arange(len(fr)), nl)
+        let = np.tile(np.arange(nl, dtype=np.int8), len(fr))
+        disp = hg.displacement_ab(na, 0.0)
+        keep = (disp <= cutoff) & (np.repeat(fl, nl) != (let ^ 1))
+        src, let, disp = src[keep], let[keep], disp[keep]
+        if not len(src):
             break
-        k, frac = _quantize(na, nb)
-        _, first = np.unique(k, axis=0, return_index=True)
-        first.sort()
-        na, nb, src, let, disp = na[first], nb[first], src[first], let[first], disp[first]
-        k, frac = k[first], frac[first]
-
-        new = index.insert_new(k, frac, total)
-        if not new:
+        prod = np.empty((len(src), 8), dtype=np.int64)
+        for l in range(nl):
+            sel = let == l
+            prod[sel] = fr[src[sel]] @ right[l]
+        if np.abs(prod).max() >= 2**31:
+            raise PartialEnumerationError("integer coefficients exceed int32",
+                                          max(float(disp.min()) - c_prune, 0.0))
+        prod = prod.astype(np.int32)
+        new = index.add_new(prod)
+        if not len(new):
             break
-        new = np.array(new)
-        na, nb, src, let, disp = na[new], nb[new], src[new], let[new], disp[new]
-        a_parts.append(na)
-        b_parts.append(nb)
-        d_parts.append(disp)
-        p_parts.append(src)
-        l_parts.append(let)
-        total += len(na)
+        d_parts.append(disp[new])
+        p_parts.append(fi[src[new]])
+        l_parts.append(let[new])
+        total += len(new)
         if total > max_elements:
             raise PartialEnumerationError(
                 f"element budget {max_elements} exceeded",
-                max(float(disp.min()) - c_prune, 0.0))
-        fa, fb, fl = na, nb, let
-        fi = np.arange(total - len(na), total, dtype=np.int64)
+                max(float(disp[new].min()) - c_prune, 0.0))
+        fr, fl = prod[new], let[new]
+        fi = np.arange(total - len(new), total, dtype=np.int64)
 
-    return (np.concatenate(a_parts), np.concatenate(b_parts),
-            np.concatenate(d_parts), np.concatenate(p_parts),
-            np.concatenate(l_parts), index)
+    return (index, np.concatenate(d_parts), np.concatenate(p_parts),
+            np.concatenate(l_parts))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +574,7 @@ def canonical_class(word, surface, *, slack=2, max_states=200_000):
 
 
 # ---------------------------------------------------------------------------
-# conjugacy classes via conjugation walk
+# conjugacy classes: components of the conjugation graph on the stored ball
 
 @dataclass
 class GeodesicClass:
@@ -544,143 +586,97 @@ class GeodesicClass:
     rep_a: complex
     rep_b: complex
     members: int = 1           # ball elements in this class (diagnostic)
-    group_id: int = -1         # multiplicity bucket after length-tie merging
+    group_id: int = -1         # multiplicity bucket: classes of equal length
+    rep_index: int = -1        # ball position of the representative (built tables)
 
     @property
     def word_str(self) -> str:
         return word_to_str(self.canonical_word)
 
 
-def _conjugation_orbit(surface, a0, b0, cap, index_limit=2_000_000):
-    """All conjugates of (a0, b0) with displacement <= cap, by BFS."""
-    nl = surface.n_letters
-    ga, gb = surface.gen_a, surface.gen_b
-    gai, gbi = np.conj(ga), -gb  # inverses (letter l inverse is l^1, but direct)
-    seen = MatrixIndex()
-    k, f = _quantize(a0, b0)
-    seen.insert(k[0], 0)
-    out_a = [complex(a0)]
-    out_b = [complex(b0)]
-    frontier = [(complex(a0), complex(b0))]
-    while frontier:
-        nxt = []
-        for (a, b) in frontier:
-            for l in range(nl):
-                # g_l * M * g_l^-1
-                ta, tb = hg.compose_ab(ga[l], gb[l], a, b)
-                ca, cb = hg.compose_ab(ta, tb, ga[l ^ 1], gb[l ^ 1])
-                if abs(ca) > 1.0:
-                    d = 2.0 * math.acosh(abs(ca))
-                else:
-                    d = 0.0
-                if d > cap:
-                    continue
-                kk, ff = _quantize(ca, cb)
-                if seen.find(kk[0], ff[0]) is not None:
-                    continue
-                seen.insert(kk[0], len(out_a))
-                out_a.append(complex(ca))
-                out_b.append(complex(cb))
-                nxt.append((ca, cb))
-                if len(out_a) > index_limit:
-                    raise MemoryError("conjugation orbit exploded")
-        frontier = nxt
-    return np.array(out_a), np.array(out_b)
-
-
-DEFAULT_WALK_SLACK = 2.5
-
-
-def conjugacy_classes(surface, ball: Ball, max_length, *, walk_slack=DEFAULT_WALK_SLACK):
+def conjugacy_classes(surface, ball: Ball, max_length):
     """Group ball elements with translation length <= max_length into classes.
 
-    Returns (classes, class_of) where class_of maps ball element index ->
-    class index (only for grouped elements).
+    The nodes are the stored hyperbolic elements of length <= max_length;
+    letter l joins M to g_l M g_l^-1 when both are stored.  Letter l^-1
+    undoes l, so the edges are symmetric, and minimum labels spread over
+    each connected component (with pointer jumping) until they settle.  A
+    class is a component that meets ``ball.inside``; its representative is
+    the inside member of least displacement.
+
+    Returns (classes, class_of) where class_of maps each stored element to
+    its class index, or -1.
     """
-    tr = np.abs(2.0 * ball.a.real)
-    # determinant drift correction for the trace (matrices are unnormalized)
-    det = np.abs(ball.a) ** 2 - np.abs(ball.b) ** 2
-    tr = tr / np.sqrt(det)
-    length = 2.0 * np.arccosh(np.maximum(tr, 2.0) / 2.0)
-    cand = np.nonzero((tr > 2.0 + 1e-9) & (length <= max_length) & ball.inside)[0]
-    order = cand[np.argsort(ball.disp[cand], kind="stable")]
+    length = trace_length(ring_trace(ball.rows))
+    node = np.nonzero((length > 0.0) & (length <= max_length))[0]
+    at = np.full(len(ball.rows), -1, dtype=np.int64)
+    at[node] = np.arange(len(node))
+    dst = np.empty((len(node), surface.n_letters), dtype=np.int64)
+    for l, conj in enumerate(_conjugation_matrices(surface.ring)):
+        j = ball.find(ball.rows[node] @ conj)
+        dst[:, l] = np.where(j >= 0, at[j], np.arange(len(node)))
+    lab = np.arange(len(node))
+    while True:
+        nxt = np.minimum(lab, lab[dst].min(axis=1))
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, lab):
+            break
+        lab = nxt
 
-    classes: list[GeodesicClass] = []
-    class_of: dict[int, int] = {}
-    cap_base = ball.radius + walk_slack
+    inside = ball.inside[node]
+    roots, cid = np.unique(lab[inside], return_inverse=True)
+    class_of = np.full(len(ball.rows), -1, dtype=np.int64)
+    label_class = np.full(len(node), -1, dtype=np.int64)
+    label_class[roots] = np.arange(len(roots))
+    class_of[node] = label_class[lab]
+    members = np.bincount(cid, minlength=len(roots))
 
-    for i in order:
-        i = int(i)
-        if i in class_of:
-            continue
-        a0, b0 = ball.a[i], ball.b[i]
-        oa, ob = _conjugation_orbit(surface, a0, b0, cap_base)
-        cid = len(classes)
-        members = 0
-        best = None  # (disp, quantized tuple, a, b, ball index)
-        for j in range(len(oa)):
-            hit = ball.index.find_matrix(oa[j], ob[j])
-            if hit is None or not ball.inside[hit]:
-                continue
-            if hit in class_of:
-                continue  # defensive; distinct classes never share elements
-            class_of[hit] = cid
-            members += 1
-            k, _ = _quantize(oa[j], ob[j])
-            key = (round(float(ball.disp[hit]) / GRID), tuple(k[0]))
-            if best is None or key < best[0]:
-                best = (key, complex(oa[j]), complex(ob[j]), hit)
-        _, ra, rb, rep_idx = best
-        ra, rb = hg.normalize_ab(ra, rb)
-        att, rep = hg.axis_endpoints_ab(ra, rb)
-        ell = float(length[i])
-        classes.append(GeodesicClass(
-            canonical_word=(), trace_abs=float(tr[i]), length=ell,
-            primitive=True, axis=(hg.BoundaryPoint(complex(att)),
-                                  hg.BoundaryPoint(complex(rep))),
-            rep_a=complex(ra), rep_b=complex(rb), members=members))
-        classes[-1].canonical_word = canonical_class(ball.word_of(rep_idx), surface)
+    # representative: least displacement (|alpha|^2 = p + q sqrt 2, exact
+    # ties), then the sign-normalized entries Im a, Re b, Im b
+    mem = node[inside]
+    absq = _zmul(ball.rows[mem, :4], _zconj(ball.rows[mem, :4]))
+    s = np.sign(ball.a.real[mem])
+    order = np.lexsort((s * ball.b.imag[mem], s * ball.b.real[mem],
+                        s * ball.a.imag[mem], absq[:, 0] + absq[:, 1] * SQRT2, cid))
+    first = order[np.r_[0, np.nonzero(np.diff(cid[order]))[0] + 1]]
+    reps = mem[first]
+    ra, rb = hg.normalize_ab(ball.a[reps], ball.b[reps])
+    att, rep = hg.axis_endpoints_ab(ra, rb)
+    tr = np.abs(ring_trace(ball.rows[reps]))
+    classes = [GeodesicClass(
+        canonical_word=canonical_class(ball.word_of(int(i)), surface),
+        trace_abs=float(tr[k]), length=float(length[i]), primitive=True,
+        axis=(hg.BoundaryPoint(complex(att[k])), hg.BoundaryPoint(complex(rep[k]))),
+        rep_a=complex(ra[k]), rep_b=complex(rb[k]), members=int(members[k]),
+        rep_index=int(i)) for k, i in enumerate(reps)]
+    if len({c.canonical_word for c in classes}) != len(classes):
+        raise SpectrumInconsistencyError("two conjugation components share a canonical word")
     return classes, class_of
 
 
-def element_with_axis(att, rep, length):
-    """Hyperbolic isometry with prescribed oriented axis and translation length."""
-    lam = math.exp(0.5 * length)
-    S = np.array([[att, rep], [1.0, 1.0]], dtype=complex)
-    D = np.array([[lam, 0.0], [0.0, 1.0 / lam]], dtype=complex)
-    M = S @ D @ np.linalg.inv(S)
-    M = M / np.sqrt(np.linalg.det(M))
-    a, b = M[0, 0], M[0, 1]
-    if a.real < 0:
-        a, b = -a, -b
-    return a, b
+def _mark_iterates(classes, ball, class_of, max_length):
+    """Flag the class of r^k, k >= 2, for each class representative r.
 
-
-def _mark_iterates(classes, ball):
-    """Flag non-primitive classes by reconstructing candidate k-th roots."""
-    if not classes:
-        return
-    min_len = min(c.length for c in classes)
-    for c in classes:
-        kmax = int(c.length / min_len + 1e-9)
-        for k in range(2, kmax + 1):
-            ra, rb = element_with_axis(c.axis[0].u, c.axis[1].u, c.length / k)
-            kk, _ = _quantize(ra, rb)
-            hit = ball.index.find_wide(kk[0])
-            if hit is None:
-                continue
-            # verify the reconstruction actually matches the stored element
-            if abs(ball.a[hit] - ra) < 1e-4 and abs(ball.b[hit] - rb) < 1e-4:
-                c.primitive = False
-                break
+    r^k shares the axis of r, so whenever its length is within max_length
+    it lies in the stored ball; a missing power means an incomplete ball.
+    """
+    base = ball.rows[[c.rep_index for c in classes]].astype(np.int64)
+    power = base
+    while len(power):
+        power = ring_compose(power, base)
+        live = trace_length(ring_trace(power)) <= max_length
+        power, base = power[live], base[live]
+        hit = ball.find(power)
+        cid = np.where(hit >= 0, class_of[hit], -1)
+        if (cid < 0).any():
+            raise SpectrumInconsistencyError(
+                f"{int((cid < 0).sum())} class powers missing from the classes")
+        for c in cid:
+            classes[c].primitive = False
 
 
 # ---------------------------------------------------------------------------
 # spectrum table
-
-TIE_TOL = 1e-6
-
-
 @dataclass
 class SpectrumTable:
     """Sorted table of oriented conjugacy classes with length <= cutoff."""
@@ -695,7 +691,7 @@ class SpectrumTable:
         gid = -1
         last = None
         for c in self.classes:
-            if last is None or c.length - last > TIE_TOL:
+            if c.length != last:
                 gid += 1
                 last = c.length
             c.group_id = gid
@@ -777,23 +773,20 @@ class SpectrumTable:
 
 DEFAULT_SPECTRUM_MARGIN = 2.0
 # bump whenever a code change alters what a built table holds
-SPECTRUM_SCHEMA = 1
+SPECTRUM_SCHEMA = 2
 
 
-def spectrum_meta(R, *, margin=DEFAULT_SPECTRUM_MARGIN, c_prune=DEFAULT_C_PRUNE,
-                  walk_slack=DEFAULT_WALK_SLACK) -> dict:
+def spectrum_meta(R, *, margin=DEFAULT_SPECTRUM_MARGIN, c_prune=DEFAULT_C_PRUNE) -> dict:
     """Everything a table built to length R depends on; saved as its meta."""
     return {"schema": SPECTRUM_SCHEMA, "R": R, "margin": margin,
-            "c_prune": c_prune, "walk_slack": walk_slack, "tie_tol": TIE_TOL,
-            "grid": GRID}
+            "c_prune": c_prune}
 
 
 def build_spectrum(surface: SurfaceModel, R: float, *,
                    margin: float = DEFAULT_SPECTRUM_MARGIN,
                    c_prune: float = DEFAULT_C_PRUNE,
                    cross_validate_to: float = 8.0,
-                   ball: Ball | None = None,
-                   walk_slack: float = DEFAULT_WALK_SLACK) -> SpectrumTable:
+                   ball: Ball | None = None) -> SpectrumTable:
     """Build the oriented length spectrum up to length R.
 
     Any class of length l has a representative whose axis meets the
@@ -802,38 +795,30 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
     """
     if ball is None:
         ball = enumerate_ball(surface, R + margin, c_prune=c_prune)
-    classes, class_of = conjugacy_classes(surface, ball, R, walk_slack=walk_slack)
-    _mark_iterates(classes, ball)
+    classes, class_of = conjugacy_classes(surface, ball, R)
+    _mark_iterates(classes, ball, class_of, R)
     if cross_validate_to > 0:
         _cross_validate_words(surface, ball, classes, class_of,
                               min(cross_validate_to, R))
     return SpectrumTable(surface.name, R, classes, spectrum_meta(
-        R, margin=margin, c_prune=c_prune, walk_slack=walk_slack))
+        R, margin=margin, c_prune=c_prune))
 
 
 def _cross_validate_words(surface, ball, classes, class_of, up_to):
-    """Check the walk-based partition against canonical cyclic words."""
+    """Check the conjugation partition against canonical cyclic words."""
     by_word: dict[tuple, set[int]] = {}
-    by_walk: dict[int, set[int]] = {}
-    for i, cid in class_of.items():
+    by_class: dict[int, set[int]] = {}
+    for i in np.nonzero(ball.inside & (class_of >= 0))[0].tolist():
+        cid = int(class_of[i])
         if classes[cid].length > up_to:
             continue
         w = canonical_class(ball.word_of(i), surface)
         by_word.setdefault(w, set()).add(i)
-        by_walk.setdefault(cid, set()).add(i)
+        by_class.setdefault(cid, set()).add(i)
     parts_word = {frozenset(v) for v in by_word.values()}
-    parts_walk = {frozenset(v) for v in by_walk.values()}
-    if parts_word != parts_walk:
-        bad_w = parts_word - parts_walk
-        bad_k = parts_walk - parts_word
+    parts_class = {frozenset(v) for v in by_class.values()}
+    if parts_word != parts_class:
         raise SpectrumInconsistencyError(
-            f"word/axis partitions disagree below length {up_to}: "
-            f"{len(bad_w)} word-only vs {len(bad_k)} walk-only groups")
-    # every class must have internally consistent traces
-    for cid, idxs in by_walk.items():
-        trs = [2 * abs(ball.a[i].real) / math.sqrt(abs(ball.a[i]) ** 2
-                                                   - abs(ball.b[i]) ** 2)
-               for i in idxs]
-        if max(trs) - min(trs) > 1e-6:
-            raise SpectrumInconsistencyError(
-                f"trace scatter {max(trs) - min(trs)} within class {cid}")
+            f"word/conjugation partitions disagree below length {up_to}: "
+            f"{len(parts_word - parts_class)} word-only vs "
+            f"{len(parts_class - parts_word)} conjugation-only groups")

@@ -139,7 +139,7 @@ class TestSpectrumCache:
         meta_path = rep["csv"].replace(".csv", ".json")
         with open(meta_path) as f:
             meta = json.load(f)
-        meta["walk_slack"] = meta["walk_slack"] + 1.0
+        meta["margin"] = meta["margin"] + 1.0
         with open(meta_path, "w") as f:
             json.dump(meta, f)
         assert run(spectrum_args(out, cache)) == 0
@@ -147,7 +147,7 @@ class TestSpectrumCache:
         assert rep2["cache_hit"] is False
         assert rep2["csv"] == rep["csv"]
         with open(meta_path) as f:
-            assert json.load(f)["walk_slack"] == fu.DEFAULT_WALK_SLACK
+            assert json.load(f)["margin"] == fu.DEFAULT_SPECTRUM_MARGIN
 
     def test_no_temporary_files_remain(self, workdir):
         out, cache = workdir
@@ -212,6 +212,12 @@ class TestExitCodes:
         assert run(["cube", "--radius", "6.5", "--t", "1.0",
                     "--samples", "5000", "--out", out,
                     "--cache-dir", cache]) == cli.EXIT_ACCEPTANCE
+
+    def test_default_t_grid_fits_the_default_radius(self, workdir):
+        out, cache = workdir
+        assert run(["count", "--out", out, "--cache-dir", cache]) == 0
+        assert run(["cube", "--samples", "20000", "--out", out,
+                    "--cache-dir", cache]) == 0
 
     def test_passing_command_is_exit_0(self, workdir):
         out, cache = workdir

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,18 @@ def spectrum6(bolza):
     return fu.build_spectrum(bolza, 6.0)
 
 
+@pytest.fixture(scope="module")
+def spectrum8(bolza):
+    return fu.build_spectrum(bolza, 8.0)
+
+
+@pytest.fixture(scope="module")
+def spectrum10(bolza):
+    # build_spectrum raises SpectrumInconsistencyError if the conjugation
+    # partition disagrees with canonical cyclic words below length 10
+    return fu.build_spectrum(bolza, 10.0, cross_validate_to=10.0)
+
+
 ELL = 2.0 * math.acosh(1.0 + math.sqrt(2.0))  # Bolza generator length
 
 
@@ -45,32 +58,23 @@ class TestSurfaceModel:
 
     def test_load_surface_preset_and_dict(self, bolza):
         assert fu.load_surface("bolza").name == "bolza"
-        cfg = {
-            "name": "bolza-copy",
-            "generators": [[bolza.gen_a[2 * k].real, bolza.gen_a[2 * k].imag,
-                            bolza.gen_b[2 * k].real, bolza.gen_b[2 * k].imag]
-                           for k in range(4)],
-            "relator": list(bolza.relator),
-            "entropy_h": 1.0,
-            "domain_diameter": bolza.domain_diameter,
-        }
-        s2 = fu.load_surface(cfg)
-        assert np.allclose(s2.gen_a, bolza.gen_a)
-        assert np.allclose(s2.gen_b, bolza.gen_b)
+        # only presets are in the exact ring; a mapping is rejected cleanly
+        cfg = {"name": "bolza-copy", "relator": list(bolza.relator)}
+        with pytest.raises(BadSurfaceError):
+            fu.load_surface(cfg)
 
     def test_bad_surface_rejected(self, bolza):
         with pytest.raises(BadSurfaceError):
             fu.load_surface("noSuchSurface")
-        cfg = {
-            "generators": [[bolza.gen_a[2 * k].real, bolza.gen_a[2 * k].imag,
-                            bolza.gen_b[2 * k].real, bolza.gen_b[2 * k].imag]
-                           for k in range(4)],
-            "relator": [0, 2, 4, 6],  # does not close
-            "entropy_h": 1.0,
-            "domain_diameter": bolza.domain_diameter,
-        }
         with pytest.raises(BadSurfaceError):
-            fu.load_surface(cfg)
+            fu._validated(dataclasses.replace(bolza, relator=(0, 2, 4, 6)))
+        swapped = bolza.ring[[1, 0, 2, 3, 4, 5, 6, 7]]
+        with pytest.raises(BadSurfaceError):
+            fu._validated(dataclasses.replace(bolza, ring=swapped))
+        scaled = bolza.ring * np.array([1, 1, 1, 1, 2, 2, 2, 2])  # det != 1
+        with pytest.raises(BadSurfaceError, match="determinant"):
+            fu._validated(dataclasses.replace(bolza, ring=scaled,
+                                              gen_b=2 * bolza.gen_b))
 
 
 class TestEnumerateBall:
@@ -94,7 +98,17 @@ class TestEnumerateBall:
         keep = brute.disp <= 6.0
         assert pruned.size == int(keep.sum())
         for i in np.nonzero(keep)[0]:
-            assert pruned.index.find_matrix(brute.a[i], brute.b[i]) is not None
+            assert pruned.contains_matrix(brute.a[i], brute.b[i])
+
+    def test_hash_collisions_do_not_merge_elements(self, bolza, monkeypatch):
+        # a hash of the first coefficient alone collides all the time; the
+        # full-row check must still give the same ball and classes
+        exact = fu.enumerate_ball(bolza, 6.0)
+        monkeypatch.setattr(fu, "_HASH", np.array([1, 0, 0, 0, 0, 0, 0, 0]))
+        weak = fu.enumerate_ball(bolza, 6.0)
+        assert np.array_equal(weak.rows, exact.rows)
+        assert np.array_equal(weak.parent, exact.parent)
+        assert len(fu.build_spectrum(bolza, 4.0, ball=weak).classes) == 24
 
     def test_growth_slope_near_entropy(self, bolza):
         ball = fu.enumerate_ball(bolza, 13.0)
@@ -190,11 +204,44 @@ class TestSpectrum:
         assert len(tab.classes) == 24
         assert tab.count_P(ELL + 0.01) == 24
 
-    def test_word_vs_axis_partition_at_R10(self, bolza):
-        # build_spectrum raises SpectrumInconsistencyError internally if the
-        # two pipelines disagree below length 8; run it to length 10 too
-        tab = fu.build_spectrum(bolza, 10.0, cross_validate_to=10.0)
-        assert len(tab.classes) > 0
+    def test_word_vs_axis_partition_at_R10(self, spectrum10):
+        assert len(spectrum10.classes) == 2588
+
+    @pytest.mark.parametrize("name", ["spectrum8", "spectrum10"])
+    def test_iterates_match_primitive_lengths(self, name, request):
+        # lengths-only oracle: each non-primitive class is p^k for exactly
+        # one primitive class p and k >= 2, of length L/k
+        tab = request.getfixturevalue(name)
+        lengths = np.array([c.length for c in tab.classes])
+        iterate = np.array([not c.primitive for c in tab.classes])
+        prim = lengths[~iterate]
+        for L in np.unique(lengths):
+            roots = sum(int(np.sum(np.abs(prim - L / k) < 1e-9))
+                        for k in range(2, int(L / prim.min() + 1e-9) + 1))
+            assert int(iterate[np.abs(lengths - L) < 1e-9].sum()) == roots, L
+        for c in tab.classes:
+            w, n = c.canonical_word, len(c.canonical_word)
+            if any(n % d == 0 and w == w[:d] * (n // d) for d in range(1, n)):
+                assert not c.primitive, c.word_str
+
+    @pytest.mark.parametrize("name, groups", [("spectrum8", 9), ("spectrum10", 26)])
+    def test_traces_are_integers_of_Z_sqrt2(self, name, groups, request):
+        # lengths-only oracle: 2 cosh(l/2) = m + n sqrt 2 with integers m, n
+        # and Galois conjugate |m - n sqrt 2| <= 2; one tie group per trace
+        tab = request.getfixturevalue(name)
+        r2 = math.sqrt(2.0)
+        traces = set()
+        for c in tab.classes:
+            x = 2.0 * math.cosh(c.length / 2.0)
+            found = []
+            for n in range(math.floor((x - 2.0) / (2.0 * r2)),
+                           math.ceil((x + 2.0) / (2.0 * r2)) + 1):
+                m = round(x - n * r2)
+                if abs(x - m - n * r2) < 1e-6 and abs(m - n * r2) <= 2.0:
+                    found.append((m, n))
+            assert len(found) == 1, c.word_str
+            traces.add(found[0])
+        assert len(traces) == len({c.group_id for c in tab.classes}) == groups
 
     def test_iterate_lengths_are_multiples(self, spectrum6):
         prim = [c.length for c in spectrum6.classes if c.primitive]
