@@ -9,6 +9,7 @@ criterion reduces to the gap between the forward and backward Riccati limits.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -164,13 +165,13 @@ def _rhs(metric, state):
     return np.stack([em * c, em * s, em * (px * s - py * c)])
 
 
-def _integrate_batch(metric, x0, y0, th0, T: float, dt: float):
-    """RK4 over a batch of initial states; returns (s, out) with out shaped
-    (steps + 1, 3, n)."""
-    if abs(dt) > 1e-2 + 1e-15:
-        raise InvalidConfigurationError("dt must be at most 1e-2")
-    n = max(int(round(abs(T) / dt)), 1)
-    h = math.copysign(abs(T) / n, T)
+def _integrate_batch(metric, x0, y0, th0, T, dt: float):
+    """RK4 over a batch to the signed horizon T, shared or one per column;
+    returns (s, out): unsigned arclengths, states shaped (steps + 1, 3, n)."""
+    if not 0.0 < dt <= 1e-2 + 1e-15:
+        raise InvalidConfigurationError("dt must lie in (0, 1e-2]")
+    n = max(int(round(float(np.max(np.abs(T))) / dt)), 1)
+    h = np.asarray(T, float) / n
     state = np.stack([np.asarray(x0, float), np.asarray(y0, float),
                       np.asarray(th0, float)])
     out = np.empty((n + 1,) + state.shape)
@@ -182,7 +183,7 @@ def _integrate_batch(metric, x0, y0, th0, T: float, dt: float):
         k4 = _rhs(metric, state + h * k3)
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i + 1] = state
-    return h * np.arange(n + 1), out
+    return np.max(np.abs(h)) * np.arange(n + 1), out
 
 
 def _batch_drift(metric, s, out):
@@ -208,28 +209,32 @@ def integrate_geodesic(metric: ConformalMetric, s0: GeodesicState, T: float,
     if drift > SPEED_DRIFT_LIMIT:
         raise IntegrationError(
             f"unit-speed drift {drift:.2e} exceeds {SPEED_DRIFT_LIMIT}")
-    return Trajectory(metric, s0.s + s, out[:, 0, 0], out[:, 1, 0],
-                      out[:, 2, 0], drift)
+    return Trajectory(metric, s0.s + math.copysign(1.0, T) * s, out[:, 0, 0],
+                      out[:, 1, 0], out[:, 2, 0], drift)
 
 
 def _two_way_curvature(metric, x0, y0, th0, T: float, dt: float, s_start=0.0):
-    """Integrate a batch forward and backward over T and check unit speed.
-
-    Returns (h, k_fwd, k_bwd): the step and the curvature at the samples of
-    each direction, shaped (steps + 1, n) and starting at the initial
-    states.  h is taken from the arclengths offset by s_start, as for a
-    Trajectory starting there.
-    """
-    s, fwd = _integrate_batch(metric, x0, y0, th0, T, dt)
-    _, bwd = _integrate_batch(metric, x0, y0, th0, -T, dt)
-    drift = np.maximum(_batch_drift(metric, s, fwd),
-                       _batch_drift(metric, s, bwd))
+    """Integrate n states forward and backward over T as one batch of 2n
+    columns, each checked for unit speed.  Returns (h, k): k the curvature
+    at the samples, shaped (steps + 1, 2, n), forward in k[:, 0], backward
+    in k[:, 1]; h the step from the arclengths offset by s_start (scalar or
+    per state), as for a Trajectory starting there."""
+    if not (math.isfinite(T) and T > 0):
+        raise InvalidConfigurationError(
+            f"horizon T must be finite and positive, got {T}")
+    n = len(x0)
+    s, out = _integrate_batch(metric, *(np.tile(v, 2) for v in (x0, y0, th0)),
+                              np.repeat([T, -T], n), dt)
+    # per direction, so temporaries stay n columns wide; K fills theta's slot
+    halves = (out[:, :, :n], out[:, :, n:])
+    drift = np.maximum(*(_batch_drift(metric, s, o) for o in halves))
     if (drift > SPEED_DRIFT_LIMIT).any():
         raise IntegrationError(
             f"unit-speed drift {drift.max():.2e} exceeds {SPEED_DRIFT_LIMIT}")
+    for o in halves:
+        o[:, 2] = metric.curvature(o[:, 0], o[:, 1])
     h = abs((s_start + s[1]) - (s_start + s[0]))
-    return (h, metric.curvature(fwd[:, 0], fwd[:, 1]),
-            metric.curvature(bwd[:, 0], bwd[:, 1]))
+    return h, out[:, 2].reshape(len(s), 2, n)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +255,10 @@ def rank_classify(metric: ConformalMetric, s0: GeodesicState,
     rank >= 2 iff sup |K| <= tol over the sampled trajectory on [-T, T]; the
     horizon is reported as part of the contract.
     """
-    _, k_fwd, k_bwd = _two_way_curvature(metric, [s0.x], [s0.y], [s0.theta],
-                                         T, DEFAULT_DT)
-    sup = max(float(np.abs(k_fwd).max()), float(np.abs(k_bwd).max()))
-    rank = "rank_ge_2" if sup <= tol else "rank_one"
-    return RankReport(rank, sup, T, tol)
+    _, k = _two_way_curvature(metric, [s0.x], [s0.y], [s0.theta], T,
+                              DEFAULT_DT)
+    sup = float(np.abs(k).max())
+    return RankReport("rank_ge_2" if sup <= tol else "rank_one", sup, T, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +278,8 @@ class RiccatiReport:
 def _riccati_along(K_vals, h, u0=0.0):
     """Integrate u' = -K - u^2 along sampled curvature with RK4 from u0.
 
-    K_vals has shape (steps + 1,) or (steps + 1, n_batch); returns u at
-    every sample, shaped like K_vals.
+    K_vals has shape (steps + 1, ...) and h broadcasts against one sample;
+    returns u at every sample, shaped like K_vals.
     """
     K_vals = np.asarray(K_vals, float)
     u = np.empty_like(K_vals)
@@ -298,15 +302,13 @@ def _riccati_along(K_vals, h, u0=0.0):
     return u
 
 
-def _riccati_limits(h, k_fwd, k_bwd):
-    """(u_stable, u_unstable) at the batch starts from two-way curvature.
-
-    u_unstable: integrate u' = -K - u^2 from s = -T (u = 0) forward to 0;
-    u_stable: mirrored from s = +T backward, where reversing the
-    orientation flips the sign of u.
-    """
-    return (-_riccati_along(k_fwd[::-1], h)[-1],
-            _riccati_along(k_bwd[::-1], h)[-1])
+def _riccati_limits(h, k):
+    """(u_stable, u_unstable) at the batch starts, from one Riccati pass over
+    both directions of k reversed: u_unstable integrates u' = -K - u^2 from
+    s = -T (u = 0) forward to 0; u_stable is mirrored from s = +T backward,
+    where reversing the orientation flips the sign of u."""
+    u = _riccati_along(k[::-1], h)[-1]
+    return -u[0], u[1]
 
 
 def riccati_subspaces(metric: ConformalMetric, s0: GeodesicState,
@@ -329,10 +331,9 @@ def unstable_jacobi(metric: ConformalMetric, s0: GeodesicState,
     J(s) = exp(integral of u) along the forward orbit, with u integrated
     from the Riccati equation; nondecreasing for every preset (K <= 0).
     """
-    h, k_fwd, k_bwd = _two_way_curvature(metric, [s0.x], [s0.y], [s0.theta],
-                                         T, dt, s0.s)
-    _, u_unstable = _riccati_limits(h, k_fwd, k_bwd)
-    u = _riccati_along(k_fwd[:, 0], h, u_unstable[0])
+    h, k = _two_way_curvature(metric, [s0.x], [s0.y], [s0.theta], T, dt, s0.s)
+    _, u_unstable = _riccati_limits(h, k)
+    u = _riccati_along(k[:, 0, 0], h, u_unstable[0])
     growth = [math.exp(v) for v in 0.5 * h * (u[:-1] + u[1:])]
     s = s0.s + (T / (len(u) - 1)) * np.arange(len(u))
     return s, np.cumprod([1.0] + growth)
@@ -361,39 +362,36 @@ def rank_suite(preset: str, n_geodesics: int = 100, seed: int = 0,
     metric.check_nonpositive()
     rng = np.random.default_rng(seed)
     states = [sample_state(metric, rng) for _ in range(n_geodesics)]
-    h, k_fwd, k_bwd = _two_way_curvature(
+    h, k = _two_way_curvature(
         metric, [s.x for s in states], [s.y for s in states],
         [s.theta for s in states], T, dt)
-    sup_k = np.maximum(np.abs(k_fwd).max(axis=0), np.abs(k_bwd).max(axis=0))
-    u_stable, u_unstable = _riccati_limits(h, k_fwd, k_bwd)
-    disagreements = 0
+    sup_k = np.abs(k).max(axis=(0, 1))
+    u_stable, u_unstable = _riccati_limits(h, k)
     reports = []
     for i, s0 in enumerate(states):
         rk = RankReport("rank_ge_2" if sup_k[i] <= tol else "rank_one",
                         float(sup_k[i]), T, tol)
         rc = RiccatiReport(float(u_stable[i]), float(u_unstable[i]), T)
         agree = (rc.gap > GAP_TOL) == (rk.rank == "rank_one")
-        if not agree:
-            disagreements += 1
         reports.append((s0, rk, rc, agree))
+    disagreements = sum(not r[3] for r in reports)
     return RankSuiteResult(preset, n_geodesics, disagreements, reports)
 
 
 def dump_trajectory_csv(metric: ConformalMetric, s0: GeodesicState, T: float,
                         dt: float, path) -> None:
-    """CSV dump (s, x, y, theta, K, u_stable, u_unstable) along the orbit."""
-    import csv
+    """CSV dump (s, x, y, theta, K, u_stable, u_unstable) along the orbit.
 
+    The rows' Riccati limits come from one batch of every row state, forward
+    and backward over min(10, T): O(rows x min(10, T) / dt) memory.
+    """
     traj = integrate_geodesic(metric, s0, T, dt)
-    ks = traj.curvature_along()
+    rows = slice(None, None, max(len(traj.s) // 1000, 1))
+    s, x, y, th = (v[rows] for v in (traj.s, traj.x, traj.y, traj.theta))
+    u_stable, u_unstable = _riccati_limits(*_two_way_curvature(
+        metric, x, y, th, min(10.0, T), dt, s))
+    cols = (s, x, y, th, traj.curvature_along()[rows], u_stable, u_unstable)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["s", "x", "y", "theta", "K", "u_stable", "u_unstable"])
-        stride = max(len(traj.s) // 1000, 1)
-        for i in range(0, len(traj.s), stride):
-            st = GeodesicState(float(traj.x[i]), float(traj.y[i]),
-                               float(traj.theta[i]), float(traj.s[i]))
-            rc = riccati_subspaces(metric, st, min(10.0, T), dt)
-            w.writerow([repr(float(v)) for v in
-                        (traj.s[i], traj.x[i], traj.y[i], traj.theta[i],
-                         ks[i], rc.u_stable, rc.u_unstable)])
+        w.writerows([repr(float(v)) for v in row] for row in zip(*cols))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -81,6 +82,19 @@ class TestIntegration:
         with pytest.raises(InvalidConfigurationError):
             ja.integrate_geodesic(m, ja.GeodesicState(0, 0, 0), 1.0, dt=0.05)
 
+    def test_nonpositive_dt_rejected(self):
+        # dt = 0 divided by zero and dt < 0 took the whole horizon in one
+        # RK4 step; both are configuration errors, as is a NaN step
+        m = ja.load_metric("constant_m1")
+        s0 = ja.GeodesicState(0.1, 0.05, 0.3)
+        for dt in (0.0, -0.005, math.nan):
+            with pytest.raises(InvalidConfigurationError):
+                ja.integrate_geodesic(m, s0, 1.0, dt)
+            with pytest.raises(InvalidConfigurationError):
+                ja.riccati_subspaces(m, s0, 30.0, dt)
+            with pytest.raises(InvalidConfigurationError):
+                ja.rank_suite("strictly_negative", 3, seed=0, T=1.0, dt=dt)
+
     def test_constant_m1_stays_in_disk(self):
         m = ja.load_metric("constant_m1")
         tr = ja.integrate_geodesic(m, ja.GeodesicState(0.3, 0.1, 2.0), 20.0)
@@ -150,6 +164,26 @@ class TestRiccati:
             ja._riccati_along(np.full(400001, -1e9), 0.005)
 
 
+class TestHorizon:
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+    def test_two_way_horizon_must_be_positive(self, T):
+        m = ja.load_metric("constant_m1")
+        s0 = ja.GeodesicState(0.1, 0.05, 0.3)
+        for call in (lambda: ja.rank_classify(m, s0, T),
+                     lambda: ja.riccati_subspaces(m, s0, T),
+                     lambda: ja.unstable_jacobi(m, s0, T),
+                     lambda: ja.rank_suite("strictly_negative", 3, seed=0,
+                                           T=T)):
+            with pytest.raises(InvalidConfigurationError):
+                call()
+
+    def test_one_way_integration_keeps_negative_horizon(self):
+        tr = ja.integrate_geodesic(ja.load_metric("strictly_negative"),
+                                   ja.GeodesicState(0.4, -0.2, 1.1, 2.0), -1.0)
+        assert tr.s[0] == 2.0 and abs(tr.s[-1] - 1.0) < 1e-12
+        assert (np.diff(tr.s) < 0).all()
+
+
 class TestSuite:
     def test_agreement_all_presets(self):
         for name in ja.PRESETS:
@@ -174,6 +208,18 @@ class TestSuite:
                 assert one.u_unstable == rc.u_unstable
                 assert ja.rank_classify(m, s0).sup_abs_K == rk.sup_abs_K
 
+    def test_sup_k_matches_two_one_way_trajectories(self):
+        # the two-way batch must see exactly the curvature of the separate
+        # forward and backward orbits; reversing theta swaps which side
+        # holds the largest |K|
+        for name, theta in itertools.product(ja.PRESETS, (2.1, 2.1 + math.pi)):
+            m = ja.load_metric(name)
+            s0 = ja.GeodesicState(0.3, -0.2, theta)
+            want = max(float(np.abs(ja.integrate_geodesic(
+                m, s0, sign * 12.0).curvature_along()).max())
+                for sign in (1.0, -1.0))
+            assert ja.rank_classify(m, s0, 12.0).sup_abs_K == want
+
     def test_suite_is_seeded(self):
         a = ja.rank_suite("flat_strip", n_geodesics=10, seed=5)
         b = ja.rank_suite("flat_strip", n_geodesics=10, seed=5)
@@ -196,3 +242,35 @@ class TestDump:
         assert len(rows) > 10
         ks = [float(r[4]) for r in rows[1:]]
         assert all(k < 0 for k in ks)
+        # K = -1: u' = 1 - u^2 from u = 0 gives tanh of the horizon
+        ja.dump_trajectory_csv(ja.load_metric("constant_m1"),
+                               ja.GeodesicState(0.1, 0.05, 0.3), 2.0, 0.005, p)
+        with open(p, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 401
+        for r in rows:
+            assert abs(float(r["u_unstable"]) - math.tanh(2.0)) < 1e-6
+            assert abs(float(r["u_stable"]) + math.tanh(2.0)) < 1e-6
+
+    @pytest.mark.parametrize("name,x", [("constant_m1", 0.3),
+                                        ("flat_strip", 1.3),
+                                        ("strictly_negative", 0.3)])
+    def test_rows_match_single_riccati(self, tmp_path, name, x):
+        # every row of the batched dump equals riccati_subspaces at that
+        # row's state; s0.s != 0 makes the per-row step differ from dt, and
+        # the flat_strip start lies where K != 0
+        import csv
+
+        m = ja.load_metric(name)
+        p = tmp_path / "traj.csv"
+        ja.dump_trajectory_csv(m, ja.GeodesicState(x, -0.4, 0.9, 1.25),
+                               0.25, 0.005, p)
+        with open(p, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 51
+        for r in rows:
+            st = ja.GeodesicState(*(float(r[c]) for c in
+                                    ("x", "y", "theta", "s")))
+            rc = ja.riccati_subspaces(m, st, 0.25, 0.005)
+            assert float(r["u_stable"]) == rc.u_stable
+            assert float(r["u_unstable"]) == rc.u_unstable
