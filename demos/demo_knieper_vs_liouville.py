@@ -5,7 +5,7 @@ normalized Liouville measure, so the boundary-pair Monte Carlo (atoms from
 the Patterson-Sullivan proxy, geodesics clipped to the fundamental
 domain) can be checked box by box against a closed-form oracle.
 
-Run: python3 demos/demo_knieper_vs_liouville.py   (about a minute)
+Run: python3 demos/demo_knieper_vs_liouville.py   (a few seconds)
 """
 
 import math

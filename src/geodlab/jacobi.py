@@ -23,6 +23,7 @@ RANK_TOL = 1e-8            # sup|K| threshold for rank >= 2
 GAP_TOL = 1e-6             # Riccati gap threshold for transversality
 SPEED_DRIFT_LIMIT = 1e-4   # unit-speed monitor hard limit
 RICCATI_BLOWUP = 1e6
+DUMP_BLOCK_ROWS = 1000     # row states per Riccati batch of a CSV dump
 
 
 @dataclass(frozen=True)
@@ -187,14 +188,17 @@ def _integrate_batch(metric, x0, y0, th0, T, dt: float):
 
 
 def _batch_drift(metric, s, out):
-    """Max unit-speed violation per batch member, via midpoint derivatives."""
+    """Max unit-speed violation per batch member, via midpoint derivatives.
+
+    A 2-sample trajectory has only the one-sided difference; the mean of
+    its speeds at both samples is second order, like a central difference.
+    """
     x, y = out[:, 0], out[:, 1]
     dx = np.gradient(x, s, axis=0)
     dy = np.gradient(y, s, axis=0)
     sp = np.exp(metric.phi(x, y)) * np.hypot(dx, dy)
-    if len(s) < 3:
-        return np.zeros(x.shape[1])
-    return np.abs(sp[1:-1] - 1.0).max(axis=0)
+    sp = sp[1:-1] if len(s) > 2 else sp.mean(axis=0, keepdims=True)
+    return np.abs(sp - 1.0).max(axis=0)
 
 
 def integrate_geodesic(metric: ConformalMetric, s0: GeodesicState, T: float,
@@ -204,6 +208,9 @@ def integrate_geodesic(metric: ConformalMetric, s0: GeodesicState, T: float,
     Negative T integrates backward.  Unit speed holds by construction; the
     monitor checks it via finite differences of the chart positions.
     """
+    if not (math.isfinite(T) and T != 0):
+        raise InvalidConfigurationError(
+            f"horizon T must be finite and nonzero, got {T}")
     s, out = _integrate_batch(metric, [s0.x], [s0.y], [s0.theta], T, dt)
     drift = float(_batch_drift(metric, s, out)[0])
     if drift > SPEED_DRIFT_LIMIT:
@@ -382,14 +389,18 @@ def dump_trajectory_csv(metric: ConformalMetric, s0: GeodesicState, T: float,
                         dt: float, path) -> None:
     """CSV dump (s, x, y, theta, K, u_stable, u_unstable) along the orbit.
 
-    The rows' Riccati limits come from one batch of every row state, forward
-    and backward over min(10, T): O(rows x min(10, T) / dt) memory.
+    The rows' Riccati limits come from batches of up to DUMP_BLOCK_ROWS row
+    states, each integrated forward and backward over min(10, T):
+    O(min(rows, DUMP_BLOCK_ROWS) x min(10, T) / dt) memory.
     """
     traj = integrate_geodesic(metric, s0, T, dt)
     rows = slice(None, None, max(len(traj.s) // 1000, 1))
     s, x, y, th = (v[rows] for v in (traj.s, traj.x, traj.y, traj.theta))
-    u_stable, u_unstable = _riccati_limits(*_two_way_curvature(
-        metric, x, y, th, min(10.0, T), dt, s))
+    u_stable, u_unstable = np.empty(len(s)), np.empty(len(s))
+    for i in range(0, len(s), DUMP_BLOCK_ROWS):
+        b = slice(i, i + DUMP_BLOCK_ROWS)
+        u_stable[b], u_unstable[b] = _riccati_limits(*_two_way_curvature(
+            metric, x[b], y[b], th[b], min(10.0, T), dt, s[b]))
     cols = (s, x, y, th, traj.curvature_along()[rows], u_stable, u_unstable)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

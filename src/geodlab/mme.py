@@ -5,9 +5,10 @@ of boundary atoms are drawn from the Patterson–Sullivan proxy density, the
 connecting geodesic is clipped to the fundamental domain in closed form, and
 the arclength inside the box is accumulated with the e^{-h(b+b)} weight.  The
 full-space normalization uses the exact clipped length; a box's arclength is
-traced inside its window at TRACE_STEP.  In constant curvature the result must
-agree with normalized Liouville measure, which doubles as the independent
-oracle.
+traced inside its window at TRACE_STEP; a flowed box's arclength is traced
+along the whole F-segment, carried into F one domain translate at a time.  In
+constant curvature the result must agree with normalized Liouville measure,
+which doubles as the independent oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .quotient import FundamentalDomain
 
 TWO_PI = 2.0 * math.pi
 PAIR_EXCLUSION = 1e-4      # minimal angular separation of boundary pairs
-TRACE_STEP = 0.01          # arclength step for tracing box and flowed-box
-                           # windows (full space is clipped exactly)
+TRACE_STEP = 0.01          # arclength step for tracing box windows and
+                           # flowed-box F-segments (full space is clipped
+                           # exactly)
 ASYMPTOTIC_TOL = 1e-6      # busemann tolerance for holonomy configurations
 
 
@@ -173,7 +175,10 @@ def _trace_weighted_length(domain, box, xi, eta, weights,
     point w(s) on the F-segment counts when the flowed-back point
     w(s - flow_t) reduces into the box chart.  The image box is spread over
     many domain translates, so this path marches the whole F-segment, in
-    equal steps of at most TRACE_STEP, and reduces every midpoint.
+    equal steps of at most TRACE_STEP.  The flowed-back arc crosses only a
+    few translates of F, and `FundamentalDomain.tile_carriers` reduces one
+    midpoint per translate; every midpoint's chart point and direction then
+    come from its translate's carrier.
     """
     z_c, theta_c, _ = _pair_geodesics(xi, eta)
     ca0, cb0 = hg.carrier_ab(z_c, theta_c)
@@ -224,19 +229,17 @@ def _trace_weighted_length(domain, box, xi, eta, weights,
         s = (np.repeat(start[lo:hi], ns)
              + (np.arange(total) - np.repeat(starts, ns) + 0.5) * ds)
 
-        ca = np.repeat(ca_all[lo:hi], ns)
-        cb = np.repeat(cb_all[lo:hi], ns)
         if flow_t != 0.0:
-            pb = np.tanh(0.5 * (s - flow_t)).astype(complex)
-            zb = hg.mobius_apply_z(ca, cb, pb)
-            tb = hg.mobius_dir_z(ca, cb, pb, 0.0)
-            zr, tr = domain.reduce_phase_z(zb, np.asarray(tb, float))
-            member = box.contains_chart(zr, tr)
+            # the flowed-back point, carried into F by its tile's carrier
+            s = s - flow_t
+            ca, cb = domain.tile_carriers(ca_all[lo:hi], cb_all[lo:hi], s, ns)
         else:
-            p0 = np.tanh(0.5 * s).astype(complex)
-            z = hg.mobius_apply_z(ca, cb, p0)
-            theta = hg.mobius_dir_z(ca, cb, p0, 0.0)
-            member = box.contains_chart(z, theta)
+            ca = np.repeat(ca_all[lo:hi], ns)
+            cb = np.repeat(cb_all[lo:hi], ns)
+        p0 = np.tanh(0.5 * s).astype(complex)
+        z = hg.mobius_apply_z(ca, cb, p0)
+        theta = hg.mobius_dir_z(ca, cb, p0, 0.0)
+        member = box.contains_chart(z, theta)
         ds[~member] = 0.0
         per_pair = np.bincount(pair_of, weights=ds, minlength=hi - lo)
         out[idx[lo:hi]] = per_pair * weights[idx[lo:hi]]

@@ -5,7 +5,8 @@ origin: points at least as close to the origin as to any orbit translate.
 It is a convex polygon cut out by its sides, so a geodesic meets it in one
 segment, which `FundamentalDomain.clip` gives in closed form.
 Reduction is greedy descent over the side-pairing generators, with the
-enumerated test-set ball as a certifying fallback.
+enumerated test-set ball as a certifying fallback; along a geodesic,
+`FundamentalDomain.tile_carriers` reduces one point per translate of F.
 """
 
 from __future__ import annotations
@@ -101,6 +102,45 @@ class FundamentalDomain:
         s_lo = np.arctanh(np.where(empty, 0.0, t_lo))
         s_hi = np.arctanh(np.where(empty, 0.0, t_hi))
         return s_lo, s_hi
+
+    def tile_carriers(self, ca, cb, s, counts):
+        """Carrier into F of each point of each carried geodesic.
+
+        Geodesic i, carried by (ca[i], cb[i]), owns counts[i] consecutive
+        entries of s, increasing.  Returns per-point (a, b), the carrier
+        composed with the group element of the F-translate that holds the
+        point, so mobius(a, b, tanh(s / 2)) lies in F and the chart point
+        and direction follow without reducing the point.
+
+        Each round reduces the first pending point of every geodesic with
+        `reduce_z`, composes the isometry onto its carrier and clips the
+        result: the carrier then serves every pending point up to the clip's
+        upper end.  Progress rule: a round always covers the point it
+        reduced, and if the clip is empty or misses that point (a geodesic
+        touching F only at a vertex or an edge) it covers that point alone.
+        """
+        pair_of = np.repeat(np.arange(len(counts)), counts)
+        out_a = np.empty(len(s), complex)
+        out_b = np.empty(len(s), complex)
+        pending = np.arange(len(s))
+        while len(pending):
+            pp = pair_of[pending]
+            head = np.ones(len(pending), dtype=bool)
+            head[1:] = pp[1:] != pp[:-1]
+            act = pp[head]
+            s1 = s[pending[head]]
+            z = hg.mobius_apply_z(ca[act], cb[act],
+                                  np.tanh(0.5 * s1).astype(complex))
+            _, ga, gb = self.reduce_z(z)
+            na, nb = hg.normalize_ab(*hg.compose_ab(ga, gb, ca[act], cb[act]))
+            s_lo, s_hi = self.clip(na, nb)
+            reach = np.where((s_lo <= s1) & (s1 <= s_hi), s_hi, s1)
+            group = np.cumsum(head) - 1
+            cov = s[pending] <= reach[group]
+            out_a[pending[cov]] = na[group[cov]]
+            out_b[pending[cov]] = nb[group[cov]]
+            pending = pending[~cov]
+        return out_a, out_b
 
     def contains(self, p: hg.DiskPoint, tol=MEMBERSHIP_TOL) -> bool:
         return bool(self.contains_z(np.array([p.z]), tol)[0])

@@ -177,6 +177,36 @@ class TestHorizon:
             with pytest.raises(InvalidConfigurationError):
                 call()
 
+    @pytest.mark.parametrize("T", [0.0, math.inf, -math.inf, math.nan])
+    def test_one_way_horizon_must_be_finite_and_nonzero(self, T, tmp_path):
+        m = ja.load_metric("constant_m1")
+        s0 = ja.GeodesicState(0.1, 0.05, 0.3)
+        with pytest.raises(InvalidConfigurationError):
+            ja.integrate_geodesic(m, s0, T)
+        with pytest.raises(InvalidConfigurationError):
+            ja.dump_trajectory_csv(m, s0, T, ja.DEFAULT_DT,
+                                   tmp_path / "traj.csv")
+
+    def test_two_sample_trajectory_checks_speed(self):
+        # |T| = dt leaves 2 samples and no central difference; the mean of
+        # the one-sided speeds at both samples is still checked
+        for name in ("strictly_negative", "flat_strip", "constant_m1"):
+            m = ja.load_metric(name)
+            for T in (ja.DEFAULT_DT, -ja.DEFAULT_DT):
+                tr = ja.integrate_geodesic(m, ja.GeodesicState(0.3, -0.4, 0.9,
+                                                               1.0), T)
+                assert tr.n == 2 and tr.s[-1] == 1.0 + T
+                assert 0.0 < tr.speed_drift < ja.SPEED_DRIFT_LIMIT
+        # a flat metric whose chart speed e^{-phi} = e^9 at x = -3 moves
+        # the chart 40 units in one step: the lone RK4 step is unresolved
+        steep = ja.ConformalMetric(
+            "steep", lambda x, y: 3.0 * x,
+            lambda x, y: (np.full_like(x, 3.0), np.zeros_like(y)),
+            lambda x, y: np.zeros_like(x))
+        with pytest.raises(IntegrationError):
+            ja.integrate_geodesic(steep, ja.GeodesicState(-3.0, 0.0, 0.5),
+                                  ja.DEFAULT_DT)
+
     def test_one_way_integration_keeps_negative_horizon(self):
         tr = ja.integrate_geodesic(ja.load_metric("strictly_negative"),
                                    ja.GeodesicState(0.4, -0.2, 1.1, 2.0), -1.0)
@@ -251,6 +281,20 @@ class TestDump:
         for r in rows:
             assert abs(float(r["u_unstable"]) - math.tanh(2.0)) < 1e-6
             assert abs(float(r["u_stable"]) + math.tanh(2.0)) < 1e-6
+
+    def test_blocked_dump_matches_single_batch(self, tmp_path, monkeypatch):
+        # 601 rows in blocks of 97 must give the single-batch CSV, byte for
+        # byte
+        m = ja.load_metric("strictly_negative")
+        s0 = ja.GeodesicState(0.1, 0.2, 0.7, 0.5)
+        out = {}
+        for block in (97, 10 ** 6):
+            monkeypatch.setattr(ja, "DUMP_BLOCK_ROWS", block)
+            p = tmp_path / f"traj_{block}.csv"
+            ja.dump_trajectory_csv(m, s0, 3.0, 0.005, p)
+            out[block] = p.read_bytes()
+        assert out[97] == out[10 ** 6]
+        assert out[97].count(b"\n") == 602
 
     @pytest.mark.parametrize("name,x", [("constant_m1", 0.3),
                                         ("flat_strip", 1.3),

@@ -271,6 +271,54 @@ class TestKnieperMeasure:
         se = math.hypot(k0.std_error, k1.std_error)
         assert abs(k1.value - k0.value) < max(4.0 * se, 0.06 * k0.value)
 
+    def test_flowed_tiles_match_per_midpoint_reduction(self, bolza, domain,
+                                                       box, shell_density):
+        # reference: the same midpoint grid, every flowed-back midpoint
+        # reduced on its own, summed per pair with the same bincount
+        rng = np.random.default_rng(41)
+        xi, eta, _ = mme._sample_pairs(shell_density, rng, 600)
+        r = bolza.domain_radius
+        vertex = complex(math.tanh(r / 2) * np.exp(1j * math.pi / 8))
+        for theta in math.pi / 8 + np.linspace(0, math.pi, 13):
+            fw, bw = hg.endpoints(hg.PhasePoint(hg.DiskPoint(vertex),
+                                                float(theta)))
+            xi = np.append(xi, fw.u)
+            eta = np.append(eta, bw.u)
+        w = mme._pair_weights(shell_density.basepoint, xi, eta,
+                              bolza.entropy_h)
+        # the corner box straddles F, so a midpoint counts only in F's chart
+        boxes = (box, mme.PhaseBox(box.center, 0.8, 1.5),
+                 mme.PhaseBox(hg.PhasePoint(hg.DiskPoint(vertex), 0.3),
+                              0.5, 1.0))
+        hits = np.zeros(len(xi), dtype=int)
+        ca, cb = hg.carrier_ab(*mme._pair_geodesics(xi, eta)[:2])
+        start, end = domain.clip(ca, cb)
+        idx = np.nonzero(end > start)[0]
+        length = end[idx] - start[idx]
+        ns = np.ceil(length / mme.TRACE_STEP).astype(int)
+        step = length / ns
+        pair_of = np.repeat(np.arange(len(idx)), ns)
+        k = np.arange(ns.sum()) - np.repeat(np.cumsum(ns) - ns, ns)
+        s = np.repeat(start[idx], ns) + (k + 0.5) * np.repeat(step, ns)
+        ca, cb = np.repeat(ca[idx], ns), np.repeat(cb[idx], ns)
+        # +-2r carries the tangent lines' midpoints onto vertices, where the
+        # clip of the reduced tile is empty or misses the reduced midpoint
+        for flow_t in (0.3, 1.0, 2.5, -1.7, 2.0 * r, -2.0 * r):
+            pb = np.tanh(0.5 * (s - flow_t)).astype(complex)
+            zr, tr = domain.reduce_phase_z(hg.mobius_apply_z(ca, cb, pb),
+                                           hg.mobius_dir_z(ca, cb, pb, 0.0))
+            for bx in boxes:
+                ds = np.where(bx.contains_chart(zr, tr),
+                              np.repeat(step, ns), 0.0)
+                ref = np.zeros(len(xi))
+                ref[idx] = np.bincount(pair_of, weights=ds,
+                                       minlength=len(idx)) * w[idx]
+                got = mme._trace_weighted_length(domain, bx, xi, eta, w,
+                                                 flow_t)
+                assert np.array_equal(got, ref)
+                hits += got > 0
+        assert hits[:600].sum() > 300 and hits[600:].any()
+
     def test_norm_cached_across_boxes(self, bolza, domain, shell_density):
         z1 = mme.knieper_normalization(bolza, domain, shell_density,
                                        n_samples=60_000, seed=0)
