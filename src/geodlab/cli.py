@@ -230,7 +230,7 @@ def cmd_count(cfg: RunConfig) -> int:
     table, _, _ = cached_spectrum(cfg)
     surface = fu.load_surface(cfg.surface)
     rep = dy.counting_suite(table, cfg.t_grid, cfg.epsilon,
-                            h=surface.entropy_h, seed=cfg.seed)
+                            h=surface.entropy_h)
     rows = [(r.t, float(r.observed), r.predicted, r.ratio)
             for r in rep.cumulative]
     _write_csv(os.path.join(cfg.out, "count_cumulative.csv"),
@@ -420,22 +420,27 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     checks["knieper_vs_liouville_10pct"] = bool(
         abs(kn.value / liv.value - 1.0) < 0.10)
 
-    # dynamics: realized geodesic periodicity and full-space normalization
-    cls = table.classes[0]
-    geo = dy.realize_geodesic(domain, cls, 0.05)
-    z2, t2 = dy._flow_z(geo.z, geo.theta, cls.length)
-    zr, _ = domain.reduce_phase_z(z2, t2)
-    checks["realized_periodicity"] = bool(
-        float(domain.quotient_dist_z(zr, geo.z).max()) < 1e-6)
+    # dynamics: one period's tile walk closes up in the quotient, and the
+    # full-space normalization
+    _, a, b, length = dy.axis_pieces(domain, table.classes[:1])
+    x = np.array([0.0, math.tanh(0.5 * length[-1])]) + 0j
+    ends = hg.mobius_apply_z(a[[0, -1]], b[[0, -1]], x)
+    dirs = hg.mobius_dir_z(a[[0, -1]], b[[0, -1]], x, 0.0)
+    ga = np.append(1.0 + 0j, domain.test_a)
+    gb = np.append(0j, domain.test_b)
+    gap = np.maximum(
+        hg.dist_z(hg.mobius_apply_z(ga, gb, ends[0]), ends[1]),
+        hg.angle_gap(hg.mobius_dir_z(ga, gb, ends[0], dirs[0]), dirs[1]))
+    checks["realized_periodicity"] = bool(gap.min() < 1e-6)
     full = mme.PhaseBox(hg.PhasePoint(hg.ORIGIN, 0.0),
                         0.5 * surface.domain_diameter + 0.5, math.pi)
     checks["mu_t_full_is_one"] = bool(
-        abs(dy.equidistribution_stat(table, domain, full, 6.5, 0.1) - 1.0)
+        abs(dy.equidistribution_stat(table, domain, full, 6.5) - 1.0)
         < 1e-12)
 
     # counting trend at the reduced horizon
     rep = dy.counting_suite(table, [5.0, 6.0], cfg.epsilon,
-                            h=surface.entropy_h, seed=cfg.seed)
+                            h=surface.entropy_h)
     checks["counting_ratio_sane"] = bool(
         0.5 < rep.cumulative[-1].ratio < 2.0)
 

@@ -131,6 +131,16 @@ def carrier_ab(z, theta):
     return compose_ab(ta, tb, ra, rb)
 
 
+def advance_ab(a, b, s):
+    """The carrier (a, b) moved along its geodesic by arclength s.
+
+    (a, b) carries the real diameter, u -> tanh(u/2), to a geodesic; the
+    result carries u to the point the old carrier gives at u + s.
+    """
+    h = 0.5 * np.asarray(s, float)
+    return normalize_ab(*compose_ab(a, b, np.cosh(h) + 0j, np.sinh(h) + 0j))
+
+
 def boundary_toward_z(p, q):
     """Boundary point hit by the geodesic ray from p through q."""
     p = np.asarray(p, dtype=complex)

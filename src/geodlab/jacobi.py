@@ -163,7 +163,11 @@ def _rhs(metric, state):
     px, py = metric.grad(x, y)
     em = np.exp(-metric.phi(x, y))
     c, s = np.cos(th), np.sin(th)
-    return np.stack([em * c, em * s, em * (px * s - py * c)])
+    out = np.empty_like(state)
+    np.multiply(em, c, out=out[0])
+    np.multiply(em, s, out=out[1])
+    np.multiply(em, px * s - py * c, out=out[2])
+    return out
 
 
 def _integrate_batch(metric, x0, y0, th0, T, dt: float):
@@ -177,12 +181,13 @@ def _integrate_batch(metric, x0, y0, th0, T, dt: float):
                       np.asarray(th0, float)])
     out = np.empty((n + 1,) + state.shape)
     out[0] = state
+    half, sixth = 0.5 * h, h / 6.0
     for i in range(n):
         k1 = _rhs(metric, state)
-        k2 = _rhs(metric, state + 0.5 * h * k1)
-        k3 = _rhs(metric, state + 0.5 * h * k2)
+        k2 = _rhs(metric, state + half * k1)
+        k3 = _rhs(metric, state + half * k2)
         k4 = _rhs(metric, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        state = state + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i + 1] = state
     return np.max(np.abs(h)) * np.arange(n + 1), out
 
@@ -291,18 +296,18 @@ def _riccati_along(K_vals, h, u0=0.0):
     K_vals = np.asarray(K_vals, float)
     u = np.empty_like(K_vals)
     u[0] = u0
-
-    def f(k, u):
-        return -k - u * u
-
+    half, sixth = 0.5 * h, h / 6.0
     for i in range(len(K_vals) - 1):
         k0, k1, ui = K_vals[i], K_vals[i + 1], u[i]
         km = 0.5 * (k0 + k1)
-        a1 = f(k0, ui)
-        a2 = f(km, ui + 0.5 * h * a1)
-        a3 = f(km, ui + 0.5 * h * a2)
-        a4 = f(k1, ui + h * a3)
-        u[i + 1] = ui + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+        a1 = -k0 - ui * ui
+        v = ui + half * a1
+        a2 = -km - v * v
+        v = ui + half * a2
+        a3 = -km - v * v
+        v = ui + h * a3
+        a4 = -k1 - v * v
+        u[i + 1] = ui + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
         if (np.abs(u[i + 1]) > RICCATI_BLOWUP).any():
             raise IntegrationError(
                 "Riccati blow-up under nonpositive curvature")

@@ -3,11 +3,11 @@
 The measure of a phase box is computed from the boundary-pair integral: pairs
 of boundary atoms are drawn from the Patterson–Sullivan proxy density, the
 connecting geodesic is clipped to the fundamental domain in closed form, and
-the arclength inside the box is accumulated with the e^{-h(b+b)} weight.  The
-full-space normalization uses the exact clipped length; a box's arclength is
-traced inside its window at TRACE_STEP; a flowed box's arclength is traced
-along the whole F-segment, carried into F one domain translate at a time.  In
-constant curvature the result must agree with normalized Liouville measure,
+the arclength inside the box is accumulated with the e^{-h(b+b)} weight.  Every
+length is exact: the full-space normalization uses the clipped length, a box
+takes the closed-form arclength of its chart window on the F-segment, and a
+flowed box sums that arclength over the flowed-back segment's pieces in the
+translates of F.  In constant curvature the result must agree with normalized Liouville measure,
 which doubles as the independent oracle.
 """
 
@@ -26,9 +26,6 @@ from .quotient import FundamentalDomain
 
 TWO_PI = 2.0 * math.pi
 PAIR_EXCLUSION = 1e-4      # minimal angular separation of boundary pairs
-TRACE_STEP = 0.01          # arclength step for tracing box windows and
-                           # flowed-box F-segments (full space is clipped
-                           # exactly)
 ASYMPTOTIC_TOL = 1e-6      # busemann tolerance for holonomy configurations
 
 
@@ -53,6 +50,51 @@ class PhaseBox:
             return near
         ang = hg.angle_gap(theta, self.center.dir) < self.angle_halfwidth
         return near & ang
+
+    def chart_length(self, a, b, length):
+        """Exact arclength of [0, length] on each carrier inside the box chart.
+
+        The isometry (a, b) carries the real diameter, s -> tanh(s/2), to the
+        geodesic.  The position ball is crossed on the closed-form window
+        s_foot +- arccosh(cosh r / cosh d).  At x = tanh(s/2) the direction
+        minus the box direction is -2 arg M, M = (conj(b) x + conj(a))
+        e^{i theta_c / 2}, so the angle window ends where Im M = +-tan(w/2)
+        Re M: two roots linear in x.  They cut the position window into at
+        most three pieces on which membership is constant, and a piece counts
+        when its midpoint is in the box.
+        """
+        a = np.asarray(a, complex)
+        b = np.asarray(b, complex)
+        r = self.position_radius
+        out = np.zeros(len(a))
+        s_foot, d = hg.geodesic_foot_z(a, b,
+                                       np.full(len(a), self.center.base.z))
+        near = np.nonzero(d < r)[0]
+        half = np.arccosh(np.cosh(r) / np.cosh(d[near]))
+        lo = np.maximum(s_foot[near] - half, 0.0)
+        hi = np.minimum(s_foot[near] + half, length[near])
+        keep = hi > lo
+        idx, lo, hi = near[keep], lo[keep], hi[keep]
+        a, b = a[idx], b[idx]
+        cuts = [lo, hi]
+        if self.angle_halfwidth < math.pi:
+            rot = np.exp(0.5j * self.center.dir)
+            m0, m1 = np.conj(a) * rot, np.conj(b) * rot
+            tw = math.tan(0.5 * self.angle_halfwidth)
+            for sign in (1.0, -1.0):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    x = -((m0.imag - sign * tw * m0.real)
+                          / (m1.imag - sign * tw * m1.real))
+                inner = np.abs(x) < 1.0
+                s = 2.0 * np.arctanh(np.where(inner, x, 0.0))
+                cuts.append(np.clip(np.where(inner, s, lo), lo, hi))
+        q = np.sort(np.stack(cuts, axis=1), axis=1)
+        mid = np.tanh(0.25 * (q[:, 1:] + q[:, :-1])) + 0j
+        a, b = a[:, None], b[:, None]
+        inside = self.contains_chart(hg.mobius_apply_z(a, b, mid),
+                                     hg.mobius_dir_z(a, b, mid, 0.0))
+        out[idx] = (np.diff(q, axis=1) * inside).sum(axis=1)
+        return out
 
     def contains(self, v: hg.PhasePoint, domain: FundamentalDomain) -> bool:
         """Membership after reduction to the fundamental domain."""
@@ -162,89 +204,30 @@ def _trace_weighted_length(domain, box, xi, eta, weights,
 
     Each geodesic meets the convex domain F in one segment [s_lo, s_hi],
     which `FundamentalDomain.clip` gives in closed form.  The full-space
-    calibration (box None) is then exact: weight * (s_hi - s_lo).
-
-    A box's lift lives inside F, so only the crossing of its position ball
-    can contribute; that window is computed in closed form, intersected
-    with the F-segment and traced at TRACE_STEP with midpoint tests of the
-    box chart.  Where F does not cut the ball window the grid is the plain
-    TRACE_STEP grid from the window's start; where it does, the cut window
-    is split into equal steps of at most TRACE_STEP.
+    calibration (box None) is then exact: weight * (s_hi - s_lo).  A box's
+    lift lives inside F, so its length is `PhaseBox.chart_length` of the
+    F-segment on the pair's own carrier, with no reduction.
 
     flow_t != 0 measures the g^{flow_t}-image of the box instead: a phase
     point w(s) on the F-segment counts when the flowed-back point
-    w(s - flow_t) reduces into the box chart.  The image box is spread over
-    many domain translates, so this path marches the whole F-segment, in
-    equal steps of at most TRACE_STEP.  The flowed-back arc crosses only a
-    few translates of F, and `FundamentalDomain.tile_carriers` reduces one
-    midpoint per translate; every midpoint's chart point and direction then
-    come from its translate's carrier.
+    w(s - flow_t) reduces into the box chart.
+    `FundamentalDomain.tile_segments` splits the flowed-back range
+    [s_lo - flow_t, s_hi - flow_t] into pieces, each carried into F, and the
+    pair's length is the sum of its pieces' chart lengths.
     """
     z_c, theta_c, _ = _pair_geodesics(xi, eta)
-    ca0, cb0 = hg.carrier_ab(z_c, theta_c)
+    ca, cb = hg.carrier_ab(z_c, theta_c)
+    s_lo, s_hi = domain.clip(ca, cb)
     if box is None:
-        s_lo, s_hi = domain.clip(ca0, cb0)
         return weights * (s_hi - s_lo)
-    out = np.zeros(len(xi))
-    if flow_t != 0.0:
-        cand = np.arange(len(xi))
-        start, end = domain.clip(ca0, cb0)
-        plain = np.zeros(len(xi), dtype=bool)
-        n_plain = np.zeros(len(xi), dtype=int)
-    else:
-        # window: the crossing of the box's position ball, cut to F
-        r = box.position_radius
-        s_foot, d_foot = hg.geodesic_foot_z(ca0, cb0,
-                                            np.full(len(xi), box.center.base.z))
-        cand = np.nonzero(d_foot < r)[0]
-        s_lo, s_hi = domain.clip(ca0[cand], cb0[cand])
-        s_foot = s_foot[cand]
-        half = np.arccosh(np.cosh(r) / np.cosh(d_foot[cand])) + 1e-9
-        plain = (s_lo <= s_foot - half) & (s_foot + half <= s_hi)
-        n_plain = np.maximum((2.0 * half / TRACE_STEP).astype(int), 1)
-        start = np.maximum(s_foot - half, s_lo)
-        end = np.minimum(s_foot + half, s_hi)
-    keep = np.nonzero(end > start)[0]
-    if not len(keep):
-        return out
-    idx = cand[keep]
-    start, length, plain = start[keep], end[keep] - start[keep], plain[keep]
-    n_cut = np.ceil(length / TRACE_STEP).astype(int)
-    n_steps = np.where(plain, n_plain[keep], n_cut)
-    step = np.where(plain, TRACE_STEP, length / n_cut)
-    ca_all, cb_all = ca0[idx], cb0[idx]
-
-    # process pair blocks under a fixed midpoint budget to bound memory
-    budget = 2_000_000
-    lo = 0
-    cum = np.cumsum(n_steps)
-    while lo < len(idx):
-        hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + budget)) + 1
-        hi = min(max(hi, lo + 1), len(idx))
-        ns = n_steps[lo:hi]
-        total = int(ns.sum())
-        pair_of = np.repeat(np.arange(hi - lo), ns)
-        starts = np.concatenate([[0], np.cumsum(ns)[:-1]])
-        ds = np.repeat(step[lo:hi], ns)
-        s = (np.repeat(start[lo:hi], ns)
-             + (np.arange(total) - np.repeat(starts, ns) + 0.5) * ds)
-
-        if flow_t != 0.0:
-            # the flowed-back point, carried into F by its tile's carrier
-            s = s - flow_t
-            ca, cb = domain.tile_carriers(ca_all[lo:hi], cb_all[lo:hi], s, ns)
-        else:
-            ca = np.repeat(ca_all[lo:hi], ns)
-            cb = np.repeat(cb_all[lo:hi], ns)
-        p0 = np.tanh(0.5 * s).astype(complex)
-        z = hg.mobius_apply_z(ca, cb, p0)
-        theta = hg.mobius_dir_z(ca, cb, p0, 0.0)
-        member = box.contains_chart(z, theta)
-        ds[~member] = 0.0
-        per_pair = np.bincount(pair_of, weights=ds, minlength=hi - lo)
-        out[idx[lo:hi]] = per_pair * weights[idx[lo:hi]]
-        lo = hi
-    return out
+    if flow_t == 0.0:
+        a, b = hg.advance_ab(ca, cb, s_lo)
+        return weights * box.chart_length(a, b, s_hi - s_lo)
+    owner, a, b, length = domain.tile_segments(ca, cb, s_lo - flow_t,
+                                               s_hi - flow_t)
+    per_pair = np.bincount(owner, weights=box.chart_length(a, b, length),
+                           minlength=len(xi))
+    return weights * per_pair
 
 
 def _pair_weights(p, xi, eta, h):

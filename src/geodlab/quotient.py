@@ -5,8 +5,9 @@ origin: points at least as close to the origin as to any orbit translate.
 It is a convex polygon cut out by its sides, so a geodesic meets it in one
 segment, which `FundamentalDomain.clip` gives in closed form.
 Reduction is greedy descent over the side-pairing generators, with the
-enumerated test-set ball as a certifying fallback; along a geodesic,
-`FundamentalDomain.tile_carriers` reduces one point per translate of F.
+enumerated test-set ball as a certifying fallback.  Along a geodesic,
+`FundamentalDomain.tile_segments` reduces one point per translate of F and
+splits the geodesic into exact pieces, each carried into F.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import ReductionFailureError
 DESCENT_BUDGET = 10_000
 DESCENT_EPS = 1e-13     # relative decrease required to count as progress
 MEMBERSHIP_TOL = 1e-9
+TILE_PROBE = 1e-6       # arclength past a piece start that picks its tile
 SIDE_EDGE_TOL = 1e-9    # Klein-model edge length below which a bisector
                         # only touches F at a vertex
 
@@ -82,7 +84,9 @@ class FundamentalDomain:
         the geodesic; on the hyperboloid that is x(s) = cosh s P + sinh s V.
         Each side's half-space reads alpha cosh s + beta sinh s >= 0, a
         bound on tanh s, and F being convex the segment is the intersection
-        of the bounds.  A geodesic that misses F gets s_lo = s_hi = 0.
+        of the bounds.  A side whose line carries the geodesic (alpha and
+        beta both within MEMBERSHIP_TOL of 0) bounds nothing.  A geodesic that
+        misses F gets s_lo = s_hi = 0.
         """
         ca = np.asarray(ca, complex)[:, None]
         cb = np.asarray(cb, complex)[:, None]
@@ -93,6 +97,10 @@ class FundamentalDomain:
         v = ca * ca + cb * cb
         alpha = p0 * self._side_c - (p * np.conj(self._side_q)).real
         beta = v0 * self._side_c - (v * np.conj(self._side_q)).real
+        along = ((np.abs(alpha) < MEMBERSHIP_TOL)
+                 & (np.abs(beta) < MEMBERSHIP_TOL))
+        alpha = np.where(along, 1.0, alpha)
+        beta = np.where(along, 0.0, beta)
         with np.errstate(divide="ignore", invalid="ignore"):
             root = -alpha / beta
         t_lo = np.max(np.where(beta > 0, root, -1.0), axis=1)
@@ -103,44 +111,43 @@ class FundamentalDomain:
         s_hi = np.arctanh(np.where(empty, 0.0, t_hi))
         return s_lo, s_hi
 
-    def tile_carriers(self, ca, cb, s, counts):
-        """Carrier into F of each point of each carried geodesic.
+    def tile_segments(self, ca, cb, s0, s1):
+        """Split each carried geodesic's range into its pieces in tiles of F.
 
-        Geodesic i, carried by (ca[i], cb[i]), owns counts[i] consecutive
-        entries of s, increasing.  Returns per-point (a, b), the carrier
-        composed with the group element of the F-translate that holds the
-        point, so mobius(a, b, tanh(s / 2)) lies in F and the chart point
-        and direction follow without reducing the point.
+        Geodesic i, carried by (ca[i], cb[i]), is walked over [s0[i], s1[i]].
+        Returns pieces (owner, a, b, length): piece k is the arc [0, length[k]]
+        of the carrier (a[k], b[k]), which takes it into F, and is the next
+        stretch of geodesic owner[k]; a geodesic's pieces come in order and
+        their lengths add up to s1 - s0.
 
-        Each round reduces the first pending point of every geodesic with
-        `reduce_z`, composes the isometry onto its carrier and clips the
-        result: the carrier then serves every pending point up to the clip's
-        upper end.  Progress rule: a round always covers the point it
-        reduced, and if the clip is empty or misses that point (a geodesic
-        touching F only at a vertex or an edge) it covers that point alone.
+        Each round, vectorized over the geodesics still walking, reduces one
+        probe just past the current start with `reduce_z`, composes that
+        isometry onto the carrier and clips the result: the piece runs to the
+        clip's upper end.  Carriers are re-based at every piece start, so the
+        local parameters stay small.  Progress rule: if the clip is empty or
+        misses the probe (a geodesic touching F only at a vertex), the piece
+        covers the probe's step alone.
         """
-        pair_of = np.repeat(np.arange(len(counts)), counts)
-        out_a = np.empty(len(s), complex)
-        out_b = np.empty(len(s), complex)
-        pending = np.arange(len(s))
-        while len(pending):
-            pp = pair_of[pending]
-            head = np.ones(len(pending), dtype=bool)
-            head[1:] = pp[1:] != pp[:-1]
-            act = pp[head]
-            s1 = s[pending[head]]
-            z = hg.mobius_apply_z(ca[act], cb[act],
-                                  np.tanh(0.5 * s1).astype(complex))
-            _, ga, gb = self.reduce_z(z)
-            na, nb = hg.normalize_ab(*hg.compose_ab(ga, gb, ca[act], cb[act]))
+        ca, cb = hg.advance_ab(np.asarray(ca, complex),
+                               np.asarray(cb, complex), s0)
+        left = np.asarray(s1, float) - s0
+        owner = np.nonzero(left > 0)[0]
+        ca, cb, left = ca[owner], cb[owner], left[owner]
+        pieces = [(owner[:0], ca[:0], cb[:0], left[:0])]
+        while len(owner):
+            step = np.minimum(TILE_PROBE, left)
+            probe = hg.mobius_apply_z(ca, cb, np.tanh(0.25 * step) + 0j)
+            _, ga, gb = self.reduce_z(probe)
+            na, nb = hg.normalize_ab(*hg.compose_ab(ga, gb, ca, cb))
             s_lo, s_hi = self.clip(na, nb)
-            reach = np.where((s_lo <= s1) & (s1 <= s_hi), s_hi, s1)
-            group = np.cumsum(head) - 1
-            cov = s[pending] <= reach[group]
-            out_a[pending[cov]] = na[group[cov]]
-            out_b[pending[cov]] = nb[group[cov]]
-            pending = pending[~cov]
-        return out_a, out_b
+            hit = (s_lo <= 0.5 * step) & (0.5 * step <= s_hi)
+            length = np.where(hit, np.minimum(s_hi, left), step)
+            pieces.append((owner, na, nb, length))
+            ca, cb = hg.advance_ab(na, nb, length)
+            left = left - length
+            go = left > 0
+            owner, ca, cb, left = owner[go], ca[go], cb[go], left[go]
+        return tuple(np.concatenate(col) for col in zip(*pieces))
 
     def contains(self, p: hg.DiskPoint, tol=MEMBERSHIP_TOL) -> bool:
         return bool(self.contains_z(np.array([p.z]), tol)[0])

@@ -212,8 +212,7 @@ def test_13_crossings(domain, table125):
                          angle_halfwidth=1.2)
     liv = mme.liouville_measure(domain, box, 400_000, seed=200)
     rep = dl.counting_suite(table125, [12.0], 0.5, domain=domain, box=box,
-                            box_measure=liv.value,
-                            max_crossing_classes=300, seed=0)
+                            box_measure=liv.value)
     assert abs(rep.crossings[0].ratio - 1.0) < 0.25
 
 

@@ -42,60 +42,71 @@ def full_box(bolza):
 class TestReduceRealize:
     def test_reduce_to_F_witness(self, domain):
         v = hg.PhasePoint(hg.DiskPoint(0.88 - 0.21j), 1.9)
-        w, g = dl.reduce_to_F(domain, v)
+        w, g = domain.reduce_phase(v)
         assert domain.contains(w.base)
         w2 = hg.apply_phase(g, v)
         assert abs(w.base.z - w2.base.z) < 1e-12
 
     def test_realized_samples_in_F(self, domain, table):
-        for cls in table.classes[:10]:
-            geo = dl.realize_geodesic(domain, cls)
-            assert domain.contains_z(geo.z, tol=1e-6).all()
+        # every tile piece of every period is carried into F
+        _, a, b, length = dl.axis_pieces(domain, table.classes[:10])
+        x = np.tanh(0.5 * np.outer(length, np.linspace(0.0, 1.0, 9))) + 0j
+        z = hg.mobius_apply_z(a[:, None], b[:, None], x)
+        assert domain.contains_z(z.ravel(), tol=1e-6).all()
 
     def test_sample_count_and_total_length(self, domain, table):
-        cls = table.classes[0]
-        geo = dl.realize_geodesic(domain, cls, 0.05)
-        assert geo.n == max(int(round(cls.length / 0.05)), 1)
-        assert abs(geo.n * geo.step - cls.length) < 1e-12
+        # the pieces of each period add up to its length
+        classes = table.classes[:40]
+        owner, _, _, length = dl.axis_pieces(domain, classes)
+        total = np.bincount(owner, weights=length, minlength=len(classes))
+        assert (length > 0).all()
+        assert np.abs(total - [c.length for c in classes]).max() < 1e-12
 
     def test_periodicity_in_the_quotient(self, domain, table):
-        # flowing any sample by the class length returns to the same
-        # quotient point
+        # each piece starts where the previous one ends, and the last one
+        # ends where the first starts, as points of the quotient
         for cls in table.classes[:5]:
-            geo = dl.realize_geodesic(domain, cls, 0.1)
-            k = geo.n // 3
-            v = hg.PhasePoint(hg.DiskPoint(complex(geo.z[k])),
-                              float(geo.theta[k]))
+            _, a, b, length = dl.axis_pieces(domain, [cls])
+            start = b / np.conj(a)
+            end = hg.mobius_apply_z(a, b, np.tanh(0.5 * length) + 0j)
+            qd = domain.quotient_dist_z(end, np.roll(start, -1))
+            assert qd.max() < 1e-6
+            # the closed-form flow by one period returns to the start
+            v = hg.PhasePoint(hg.DiskPoint(complex(start[0])),
+                              float(2.0 * np.angle(a[0])))
             w, _ = domain.reduce_phase(hg.flow(v, cls.length))
-            qd = domain.quotient_dist_z(np.array([w.base.z]),
-                                        np.array([geo.z[k]]))[0]
-            assert qd < 1e-6
+            assert domain.quotient_dist_z(np.array([w.base.z]),
+                                          start[:1])[0] < 1e-6
 
     def test_full_box_counts_every_sample(self, bolza, domain, table):
-        cls = table.classes[3]
-        geo = dl.realize_geodesic(domain, cls)
-        assert geo.box_count(full_box(bolza)) == geo.n
+        classes = table.classes[:30]
+        tau = dl.box_times(domain, classes, [full_box(bolza)])[:, 0]
+        assert np.abs(tau - [c.length for c in classes]).max() < 1e-12
 
     def test_class_without_axis_rejected(self, domain, table, tmp_path):
         # a table loaded without its meta has no surface, hence no axes
         table.save(tmp_path / "spec.csv")
         loaded = fu.SpectrumTable.load(tmp_path / "spec.csv")
         with pytest.raises(InvalidConfigurationError):
-            dl.realize_geodesic(domain, loaded.classes[0])
+            dl.axis_pieces(domain, loaded.classes[:1])
 
 
 class TestCrossings:
     def test_counts_bounded_by_segments(self, domain, table, big_boxes):
+        # box times lie in [0, length], and complementary angle windows
+        # add up to the full circle
         classes = table.classes[:20]
-        eps = 0.5
-        recs = dl.crossing_records(domain, classes, big_boxes, eps)
-        for rec in recs:
-            limit = int(round(rec.t / eps)) + 1
-            assert all(0 <= c <= limit for c in rec.counts)
-
-    def test_negative_count_rejected(self, table):
-        with pytest.raises(InvalidConfigurationError):
-            dl.CrossingRecord(table.classes[0], 3.0, [2, -1])
+        ell = np.array([c.length for c in classes])
+        b = big_boxes[0]
+        halves = [mme.PhaseBox(hg.PhasePoint(b.center.base,
+                                             b.center.dir + shift),
+                               b.position_radius, math.pi / 2)
+                  for shift in (0.0, math.pi)]
+        full = mme.PhaseBox(b.center, b.position_radius, math.pi)
+        tau = dl.box_times(domain, classes, big_boxes + halves + [full])
+        assert (tau >= 0).all() and (tau <= ell[:, None] + 1e-12).all()
+        assert np.abs(tau[:, 2] + tau[:, 3] - tau[:, 4]).max() < 1e-12
+        assert (tau[:, 4] > 0).any()
 
 
 class TestMixing:
@@ -176,50 +187,14 @@ class TestCountingSuite:
         rep = dl.counting_suite(table, [7.0, 8.0], 0.5, domain=domain,
                                 box=b, box_measure=liv.value)
         assert len(rep.triangle) == 2 and len(rep.crossings) == 2
-        for row in rep.crossings:
+        for row in rep.triangle + rep.crossings:
             assert 0.3 < row.ratio < 3.0
 
-    def test_crossing_subsample_is_seeded(self, domain, table, big_boxes):
-        b = big_boxes[0]
-        kw = dict(domain=domain, box=b, box_measure=0.05,
-                  max_crossing_classes=20, seed=4)
-        r1 = dl.counting_suite(table, [8.0], 0.5, **kw)
-        r2 = dl.counting_suite(table, [8.0], 0.5, **kw)
-        assert r1.crossings[0].observed == r2.crossings[0].observed
-
-
-class TestAsymCompare:
-    t_grid = [4.0, 6.0, 8.0]
-    eps_grid = [0.1, 0.2, 0.4]
-
-    def _grids(self, fn):
-        return np.array([[fn(t, e) for e in self.eps_grid]
-                         for t in self.t_grid])
-
-    def test_equal_families_pass_with_zero_K(self):
-        g = self._grids(lambda t, e: math.exp(t) / t)
-        rep = dl.asym_compare(g, g, 0.05, self.t_grid, self.eps_grid)
-        assert rep.passed and rep.K == 0.0
-        assert max(rep.residuals) == 0.0
-
-    def test_eps_dependent_factor_passes(self):
-        g = self._grids(lambda t, e: math.exp(t) / t)
-        f = self._grids(lambda t, e: math.exp(t + 2.0 * e) / t)
-        rep = dl.asym_compare(f, g, 0.05, self.t_grid, self.eps_grid)
-        assert rep.passed
-        assert abs(rep.K - 2.0) < 1e-9
-
-    def test_genuinely_different_growth_fails(self):
-        g = self._grids(lambda t, e: math.exp(t) / t)
-        f = self._grids(lambda t, e: math.exp(1.1 * t) / t)
-        rep = dl.asym_compare(f, g, 0.05, self.t_grid, self.eps_grid)
-        assert not rep.passed
-
-    def test_bad_inputs_rejected(self):
-        g = self._grids(lambda t, e: math.exp(t))
+    def test_box_without_domain_or_measure_rejected(self, domain, table,
+                                                    big_boxes):
         with pytest.raises(InvalidConfigurationError):
-            dl.asym_compare(g[:2], g, 0.05, self.t_grid, self.eps_grid)
-        bad = g.copy()
-        bad[0, 0] = 0.0
+            dl.counting_suite(table, [8.0], 0.5, box=big_boxes[0],
+                              box_measure=0.05)
         with pytest.raises(InvalidConfigurationError):
-            dl.asym_compare(bad, g, 0.05, self.t_grid, self.eps_grid)
+            dl.counting_suite(table, [8.0], 0.5, domain=domain,
+                              box=big_boxes[0])

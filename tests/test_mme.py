@@ -177,7 +177,7 @@ class TestExactLength:
         # midpoint march over the circumscribed disk's chord, full test set
         z_c, th_c, _ = mme._pair_geodesics(xi, eta)
         ca, cb = hg.carrier_ab(z_c, th_c)
-        step = mme.TRACE_STEP
+        step = 0.01
         n = int(2.0 * bolza.domain_radius / step) + 2
         s = (np.arange(-n, n) + 0.5) * step
         marched = np.empty(len(xi))
@@ -273,10 +273,14 @@ class TestKnieperMeasure:
 
     def test_flowed_tiles_match_per_midpoint_reduction(self, bolza, domain,
                                                        box, shell_density):
-        # reference: the same midpoint grid, every flowed-back midpoint
-        # reduced on its own, summed per pair with the same bincount
+        # reference: a fine midpoint march along each F-segment, every
+        # flowed-back midpoint reduced on its own with reduce_phase_z.  A
+        # march cell misplaces at most half a step at each box endpoint it
+        # holds, so each exact length must agree within
+        # (in/out switches of the march + 2) * step / 2.
+        step = 1e-3
         rng = np.random.default_rng(41)
-        xi, eta, _ = mme._sample_pairs(shell_density, rng, 600)
+        xi, eta, _ = mme._sample_pairs(shell_density, rng, 150)
         r = bolza.domain_radius
         vertex = complex(math.tanh(r / 2) * np.exp(1j * math.pi / 8))
         for theta in math.pi / 8 + np.linspace(0, math.pi, 13):
@@ -290,34 +294,38 @@ class TestKnieperMeasure:
         boxes = (box, mme.PhaseBox(box.center, 0.8, 1.5),
                  mme.PhaseBox(hg.PhasePoint(hg.DiskPoint(vertex), 0.3),
                               0.5, 1.0))
-        hits = np.zeros(len(xi), dtype=int)
         ca, cb = hg.carrier_ab(*mme._pair_geodesics(xi, eta)[:2])
         start, end = domain.clip(ca, cb)
         idx = np.nonzero(end > start)[0]
         length = end[idx] - start[idx]
-        ns = np.ceil(length / mme.TRACE_STEP).astype(int)
-        step = length / ns
+        ns = np.ceil(length / step).astype(int)
+        ds = np.repeat(length / ns, ns)
         pair_of = np.repeat(np.arange(len(idx)), ns)
         k = np.arange(ns.sum()) - np.repeat(np.cumsum(ns) - ns, ns)
-        s = np.repeat(start[idx], ns) + (k + 0.5) * np.repeat(step, ns)
+        s = np.repeat(start[idx], ns) + (k + 0.5) * ds
+        same = pair_of[1:] == pair_of[:-1]
         ca, cb = np.repeat(ca[idx], ns), np.repeat(cb[idx], ns)
-        # +-2r carries the tangent lines' midpoints onto vertices, where the
-        # clip of the reduced tile is empty or misses the reduced midpoint
-        for flow_t in (0.3, 1.0, 2.5, -1.7, 2.0 * r, -2.0 * r):
-            pb = np.tanh(0.5 * (s - flow_t)).astype(complex)
+        hits = np.zeros(len(xi), dtype=int)
+        # +-2r carries the tangent lines' midpoints onto vertices
+        for flow_t in (0.0, 0.3, 1.0, 2.5, -1.7, 2.0 * r, -2.0 * r):
+            pb = np.tanh(0.5 * (s - flow_t)) + 0j
             zr, tr = domain.reduce_phase_z(hg.mobius_apply_z(ca, cb, pb),
                                            hg.mobius_dir_z(ca, cb, pb, 0.0))
             for bx in boxes:
-                ds = np.where(bx.contains_chart(zr, tr),
-                              np.repeat(step, ns), 0.0)
-                ref = np.zeros(len(xi))
-                ref[idx] = np.bincount(pair_of, weights=ds,
-                                       minlength=len(idx)) * w[idx]
+                inside = bx.contains_chart(zr, tr)
+                ref = np.bincount(pair_of, weights=np.where(inside, ds, 0.0),
+                                  minlength=len(idx))
+                switches = np.bincount(pair_of[1:],
+                                       weights=same & (inside[1:]
+                                                       != inside[:-1]),
+                                       minlength=len(idx))
                 got = mme._trace_weighted_length(domain, bx, xi, eta, w,
                                                  flow_t)
-                assert np.array_equal(got, ref)
+                assert (got[np.setdiff1d(np.arange(len(xi)), idx)] == 0).all()
+                assert (np.abs(got[idx] / w[idx] - ref)
+                        <= (switches + 2) * step / 2).all()
                 hits += got > 0
-        assert hits[:600].sum() > 300 and hits[600:].any()
+        assert hits[:150].sum() > 100 and hits[150:].any()
 
     def test_norm_cached_across_boxes(self, bolza, domain, shell_density):
         z1 = mme.knieper_normalization(bolza, domain, shell_density,
