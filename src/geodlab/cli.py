@@ -432,11 +432,18 @@ def cmd_verify_all(cfg: RunConfig) -> int:
         hg.dist_z(hg.mobius_apply_z(ga, gb, ends[0]), ends[1]),
         hg.angle_gap(hg.mobius_dir_z(ga, gb, ends[0], dirs[0]), dirs[1]))
     checks["realized_periodicity"] = bool(gap.min() < 1e-6)
-    full = mme.PhaseBox(hg.PhasePoint(hg.ORIGIN, 0.0),
-                        0.5 * surface.domain_diameter + 0.5, math.pi)
-    checks["mu_t_full_is_one"] = bool(
-        abs(dy.equidistribution_stat(table, domain, full, 6.5) - 1.0)
-        < 1e-12)
+    # equidistribution: mu_t of a box inside the inscribed disk against its
+    # closed-form Liouville measure sinh^2(r/2) w / pi (ball area
+    # 4 pi sinh^2(r/2) over area(F) = 4 pi, angle fraction w / pi).  This
+    # origin-centred wide box reads mu_6.5 / m(B) - 1 = -5.8 %; over 1,200
+    # random wide boxes (r = 0.8, w = 1.5) on this R = 6.5 table the largest
+    # |mu_6.5 / m(B) - 1| was 9.0 %; the 15 % bound leaves room above that.
+    r, w = 0.8, 1.5
+    wide = mme.PhaseBox(hg.PhasePoint(hg.ORIGIN, 0.0), r, w)
+    m_wide = math.sinh(0.5 * r) ** 2 * w / math.pi
+    checks["mu_t_vs_liouville_15pct"] = bool(
+        abs(dy.equidistribution_stat(table, domain, wide, 6.5) / m_wide - 1.0)
+        < 0.15)
 
     # counting trend at the reduced horizon
     rep = dy.counting_suite(table, [5.0, 6.0], cfg.epsilon,

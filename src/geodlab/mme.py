@@ -244,18 +244,48 @@ def _pair_weights(p, xi, eta, h):
     return np.exp(-h * (hg.busemann_z(pz, q, xi) + hg.busemann_z(pz, q, eta)))
 
 
+def _pair_cdf(density):
+    """Cumulative atom probabilities, cached on the density.
+
+    The same cumulative sum `rng.choice(n, size, p=probs)` builds on every
+    call, so searchsorted on it draws the same indices from the same stream.
+    Raises DegenerateMeasureError when no two positive-weight atoms are
+    PAIR_EXCLUSION apart, so that no pair could ever be kept: for a
+    separation this small that holds exactly when the atoms fit in an arc
+    shorter than it, whose end atoms are the farthest pair.
+    """
+    cdf = getattr(density, "_pair_cdf", None)
+    if cdf is None:
+        u = density.atom_u[density.weights > 0]
+        order = np.argsort(np.angle(u))
+        ang = np.angle(u[order])
+        gap = np.diff(ang, append=ang[0] + TWO_PI)
+        k = int(np.argmax(gap))
+        # the atoms bordering the largest gap end the arc holding them all
+        ends = u[order[k]], u[order[(k + 1) % len(u)]]
+        if (gap[k] > math.pi
+                and abs(np.angle(ends[0] / ends[1])) < PAIR_EXCLUSION):
+            raise DegenerateMeasureError(
+                "no two atoms are PAIR_EXCLUSION apart")
+        cdf = (density.weights / density.total_mass).cumsum()
+        cdf /= cdf[-1]
+        density._pair_cdf = cdf
+    return cdf
+
+
 def _sample_pairs(density, rng, n):
     """Draw atom index pairs proportional to weights, excluding near-diagonal
-    pairs by resampling; returns (xi, eta, n_discarded)."""
-    probs = density.weights / density.total_mass
+    pairs by resampling; returns (xi, eta, n_discarded).  A density with no
+    pair to keep raises DegenerateMeasureError (see `_pair_cdf`)."""
+    cdf = _pair_cdf(density)
     xi = np.empty(n, dtype=complex)
     eta = np.empty(n, dtype=complex)
     filled = 0
     discarded = 0
     while filled < n:
         todo = n - filled
-        i = rng.choice(len(probs), size=todo, p=probs)
-        j = rng.choice(len(probs), size=todo, p=probs)
+        i = cdf.searchsorted(rng.random(todo), side="right")
+        j = cdf.searchsorted(rng.random(todo), side="right")
         u, v = density.atom_u[i], density.atom_u[j]
         ok = np.abs(np.angle(u / v)) >= PAIR_EXCLUSION
         k = int(ok.sum())

@@ -4,10 +4,12 @@ The fundamental domain F is the Dirichlet domain centered at the disk
 origin: points at least as close to the origin as to any orbit translate.
 It is a convex polygon cut out by its sides, so a geodesic meets it in one
 segment, which `FundamentalDomain.clip` gives in closed form.
-Reduction is greedy descent over the side-pairing generators, with the
-enumerated test-set ball as a certifying fallback.  Along a geodesic,
-`FundamentalDomain.tile_segments` reduces one point per translate of F and
-splits the geodesic into exact pieces, each carried into F.
+Reduction is greedy descent over the side-pairing generators, certified
+against the enumerated test-set ball: one batched, division-free screen
+over every test element clears the usual case, and the exact sequential
+pass over the test set runs only when the screen flags a point.  Along a
+geodesic, `FundamentalDomain.tile_segments` reduces one point per translate
+of F and splits the geodesic into exact pieces, each carried into F.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ MEMBERSHIP_TOL = 1e-9
 TILE_PROBE = 1e-6       # arclength past a piece start that picks its tile
 SIDE_EDGE_TOL = 1e-9    # Klein-model edge length below which a bisector
                         # only touches F at a vertex
+SCREEN_MARGIN = 1e-9    # distance slack of the test-set screen, far above
+                        # the rounding of either distance test
+SCREEN_BLOCK = 256      # points per block of the (points x test set) screen
 
 
 class FundamentalDomain:
@@ -172,8 +177,9 @@ class FundamentalDomain:
         """Reduce an array of points to F; returns (z_red, a_acc, b_acc).
 
         The accumulated isometry satisfies mobius(a_acc, b_acc, z) = z_red.
-        Greedy descent over the generators, then a certifying pass over the
-        full test set (applied if any test element still improves).
+        Greedy descent over the generators, then `_test_set_pass` certifies
+        the result against the full test set; if a test element still
+        improves a point, that move is applied and descent resumes.
         """
         z = np.atleast_1d(np.asarray(z, complex))
         acc_a = np.ones(len(z), dtype=complex)
@@ -201,7 +207,19 @@ class FundamentalDomain:
         raise ReductionFailureError("descent budget exhausted")
 
     def _test_set_pass(self, cur, acc_a, acc_b) -> bool:
+        """Apply every improving test element in turn; True if a point moved.
+
+        The exact pass walks the test set in order, moving each point that
+        an element brings closer to o by the descent rule, so it is
+        sequential.  A screen runs first: it flags a point that any test
+        element brings within dist(z, o) + SCREEN_MARGIN of o, a superset of
+        the points the pass's first improving element can move.  While no
+        point is flagged nothing can move, so the pass is skipped and
+        cur, acc_a and acc_b stay untouched.
+        """
         d0 = hg.dist_z(cur, 0j)
+        if not self._screen(cur, d0):
+            return False
         moved = False
         for a, b in zip(self.test_a, self.test_b):
             w = hg.mobius_apply_z(a, b, cur)
@@ -213,6 +231,27 @@ class FundamentalDomain:
                 d0 = hg.dist_z(cur, 0j)
                 moved = True
         return moved
+
+    def _screen(self, z, d0) -> bool:
+        """Whether some test element may bring a point of z closer to o.
+
+        g z lies within L of o iff
+            |a z + b|^2 < tanh^2(L/2) |conj(b) z + conj(a)|^2,
+        a test with no division or arccosh.  L is the descent threshold plus
+        SCREEN_MARGIN, so the screen flags every point the exact pass would
+        move.  Blocks of SCREEN_BLOCK points bound the (points x test set)
+        arrays.
+        """
+        lim = d0 * (1.0 - DESCENT_EPS) - 1e-15 + SCREEN_MARGIN
+        t2 = np.tanh(0.5 * lim) ** 2
+        for k in range(0, len(z), SCREEN_BLOCK):
+            zk = z[k:k + SCREEN_BLOCK, None]
+            num = np.abs(self.test_a * zk + self.test_b) ** 2
+            den = np.abs(np.conj(self.test_b) * zk
+                         + np.conj(self.test_a)) ** 2
+            if (num < t2[k:k + SCREEN_BLOCK, None] * den).any():
+                return True
+        return False
 
     def reduce_phase(self, v: hg.PhasePoint):
         """Reduce a phase point; returns (reduced PhasePoint, Isometry g)

@@ -8,7 +8,7 @@ from geodlab import density as de
 from geodlab import fuchsian as fu
 from geodlab import hypgeom as hg
 from geodlab import mme
-from geodlab.errors import InvalidConfigurationError
+from geodlab.errors import DegenerateMeasureError, InvalidConfigurationError
 from geodlab.quotient import FundamentalDomain
 
 FOUR_PI = 4.0 * math.pi
@@ -166,6 +166,56 @@ class TestPairGeodesics:
         xi, eta, disc = mme._sample_pairs(shell_density, rng, 5000)
         assert np.abs(np.angle(xi / eta)).min() >= mme.PAIR_EXCLUSION
         assert disc >= 0
+
+    def test_sample_pairs_matches_rng_choice(self, shell_density):
+        # the cached cumulative weights must draw exactly what
+        # rng.choice(p=...) draws from the same stream; a numpy whose
+        # choice stops matching fails here
+        d = shell_density
+        probs = d.weights / d.total_mass
+        for seed in range(5):
+            for n in (1, 200, 5000):
+                rng = np.random.default_rng(seed)
+                xi, eta, disc = mme._sample_pairs(d, rng, n)
+                ref = np.random.default_rng(seed)
+                left, want_xi, want_eta, want_disc = n, [], [], 0
+                while left:
+                    i = ref.choice(len(probs), size=left, p=probs)
+                    j = ref.choice(len(probs), size=left, p=probs)
+                    u, v = d.atom_u[i], d.atom_u[j]
+                    ok = np.abs(np.angle(u / v)) >= mme.PAIR_EXCLUSION
+                    want_xi.append(u[ok])
+                    want_eta.append(v[ok])
+                    want_disc += left - int(ok.sum())
+                    left = int((~ok).sum())
+                assert np.array_equal(xi, np.concatenate(want_xi))
+                assert np.array_equal(eta, np.concatenate(want_eta))
+                assert disc == want_disc
+                assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("atoms", [
+        [1.0 + 0j, np.exp(1e-5j)],                       # closer than 1e-4
+        [np.exp(3.14159j)],                               # one atom
+        [np.exp(-3.1416j), np.exp(3.1416j), -1.0 + 0j],   # across angle pi
+        [1.0 + 0j, np.exp(1e-5j), np.exp(0.5j)],          # far atom weightless
+    ])
+    def test_sample_pairs_rejects_unseparated_atoms(self, atoms):
+        w = np.ones(len(atoms))
+        w[2:] = 0.0     # a third atom carries no weight
+        d = de.BoundaryMeasure(hg.ORIGIN, np.array(atoms, complex), w,
+                               1.0, 5.0)
+        with pytest.raises(DegenerateMeasureError):
+            mme._sample_pairs(d, np.random.default_rng(0), 5)
+
+    def test_sample_pairs_accepts_separated_atoms(self):
+        # just past the exclusion, and atoms spread over the whole circle
+        for atoms in ([1.0 + 0j, np.exp(2e-4j)],
+                      np.exp(1j * np.linspace(0, 2 * math.pi, 5,
+                                              endpoint=False))):
+            d = de.BoundaryMeasure(hg.ORIGIN, np.array(atoms, complex),
+                                   np.ones(len(atoms)), 1.0, 5.0)
+            xi, eta, _ = mme._sample_pairs(d, np.random.default_rng(0), 50)
+            assert np.abs(np.angle(xi / eta)).min() >= mme.PAIR_EXCLUSION
 
 
 class TestExactLength:

@@ -5,7 +5,8 @@ import pytest
 
 from geodlab import fuchsian as fu
 from geodlab import hypgeom as hg
-from geodlab.quotient import FundamentalDomain
+from geodlab import mme
+from geodlab.quotient import DESCENT_EPS, SCREEN_BLOCK, FundamentalDomain
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +17,48 @@ def bolza():
 @pytest.fixture(scope="module")
 def domain(bolza):
     return FundamentalDomain(bolza)
+
+
+@pytest.fixture(scope="module")
+def ref_domain(bolza):
+    return ReferenceDomain(bolza)
+
+
+class ReferenceDomain(FundamentalDomain):
+    """Reduction whose certification is the plain sequential test-set loop.
+
+    The loop is written out here, apart from the code under test, so it is
+    an independent oracle for the screened pass; moved_points counts the
+    points it moves.
+    """
+
+    moved_points = 0
+
+    def _test_set_pass(self, cur, acc_a, acc_b) -> bool:
+        d0 = hg.dist_z(cur, 0j)
+        moved = False
+        for a, b in zip(self.test_a, self.test_b):
+            w = hg.mobius_apply_z(a, b, cur)
+            better = hg.dist_z(w, 0j) < d0 * (1.0 - DESCENT_EPS) - 1e-15
+            if better.any():
+                na, nb = hg.compose_ab(a, b, acc_a[better], acc_b[better])
+                acc_a[better], acc_b[better] = hg.normalize_ab(na, nb)
+                cur[better] = w[better]
+                d0 = hg.dist_z(cur, 0j)
+                moved = True
+                self.moved_points += int(better.sum())
+        return moved
+
+
+def vertex_points(bolza, offsets):
+    """Points at each given distance beyond the 8 vertices of F, radially.
+
+    F is the regular octagon with vertices at distance domain_radius in
+    the directions pi/8 + k pi/4.
+    """
+    ang = math.pi / 8 + np.arange(8) * math.pi / 4
+    d = bolza.domain_radius + np.asarray(offsets, float)[:, None]
+    return (np.tanh(0.5 * d) * np.exp(1j * ang)).ravel()
 
 
 def random_disk_points(rng, n, r_max=0.95):
@@ -191,3 +234,87 @@ class TestQuotientDist:
         img = hg.mobius_apply_z(*hg.inverse_ab(g.a, g.b), np.array([z_face]))
         qd = domain.quotient_dist_z(np.array([z_face]), img)
         assert qd[0] < 1e-9
+
+
+class TestScreenedCertification:
+    """reduce_z with the screened test-set pass matches the plain loop."""
+
+    # Just beyond a vertex, outward, the generators improve the distance to
+    # o by less than the descent threshold while a vertex-cycle element
+    # improves it by more, so the test-set pass must move them.
+    PAST_VERTEX = np.linspace(0.5e-13, 6e-13, 23)
+
+    def assert_same(self, domain, ref_domain, z):
+        got = domain.reduce_z(z)
+        want = ref_domain.reduce_z(z)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_random_disk_points(self, domain, ref_domain):
+        rng = np.random.default_rng(43)
+        self.assert_same(domain, ref_domain, random_disk_points(rng, 20_000))
+
+    def test_points_just_outside_sides_and_vertices(self, bolza, domain,
+                                                    ref_domain):
+        # rays from o crossing every side, the vertex directions among them,
+        # ended just inside, on and just beyond the boundary of F
+        phi = np.linspace(0, 2 * math.pi, 8 * 40, endpoint=False)
+        ca, cb = hg.carrier_ab(np.zeros(len(phi), complex), phi)
+        _, s_hi = domain.clip(ca, cb)
+        off = np.array([-1e-9, 0.0, 1e-13, 3e-13, 1e-12, 1e-9, 1e-6, 1e-3])
+        rays = (np.tanh(0.5 * (s_hi[:, None] + off))
+                * np.exp(1j * phi)[:, None]).ravel()
+        rng = np.random.default_rng(47)
+        eps = np.repeat([1e-3, 1e-6, 1e-9, 1e-12], 30)
+        near = (vertex_points(bolza, [0.0])[:, None]
+                + eps * np.exp(2j * math.pi * rng.uniform(0, 1, len(eps))))
+        near = np.concatenate([near.ravel(), vertex_points(bolza,
+                                                           self.PAST_VERTEX)])
+        gen = np.array([((np.abs(bolza.gen_a - a) < 1e-9)
+                         & (np.abs(bolza.gen_b - b) < 1e-9)).any()
+                        for a, b in zip(domain.test_a, domain.test_b)])
+        assert (~gen).sum() == len(gen) - 8
+        images = hg.mobius_apply_z(domain.test_a[~gen, None],
+                                   domain.test_b[~gen, None], near).ravel()
+        ref_domain.moved_points = 0
+        for z in (rays, near, images):
+            self.assert_same(domain, ref_domain, z)
+        assert ref_domain.moved_points > 0
+
+    def test_input_longer_than_one_block(self, bolza, domain, ref_domain):
+        # the only points the test-set pass moves sit past the first blocks
+        rng = np.random.default_rng(53)
+        inner = math.tanh(0.6) * random_disk_points(rng, 3 * SCREEN_BLOCK + 17,
+                                                    r_max=1.0)
+        z = np.concatenate([inner, vertex_points(bolza, self.PAST_VERTEX)])
+        ref_domain.moved_points = 0
+        self.assert_same(domain, ref_domain, z)
+        assert ref_domain.moved_points > 0
+
+    def test_tile_walks_and_flowed_lengths_unchanged(self, bolza, domain,
+                                                     ref_domain):
+        rng = np.random.default_rng(59)
+        n = 300
+        xi = np.exp(2j * math.pi * rng.uniform(0, 1, n))
+        eta = xi * np.exp(1j * rng.uniform(0.05, 2 * math.pi - 0.05, n))
+        w = rng.uniform(0.5, 1.5, n)
+        vertex = vertex_points(bolza, [0.0])[0]
+        boxes = [mme.random_box(domain, rng) for _ in range(3)]
+        boxes += [mme.random_box(domain, rng, position_radius=0.8,
+                                 angle_halfwidth=1.5) for _ in range(2)]
+        boxes.append(mme.PhaseBox(hg.PhasePoint(hg.DiskPoint(vertex), 0.3),
+                                  0.5, 1.0))
+        ca, cb = hg.carrier_ab(*mme._pair_geodesics(xi, eta)[:2])
+        s_lo, s_hi = domain.clip(ca, cb)
+        for flow_t in (0.3, 1.0, 2.5, -1.7):
+            got = domain.tile_segments(ca, cb, s_lo - flow_t, s_hi - flow_t)
+            want = ref_domain.tile_segments(ca, cb, s_lo - flow_t,
+                                            s_hi - flow_t)
+            for g, r in zip(got, want):
+                assert np.array_equal(g, r)
+            for bx in boxes:
+                assert np.array_equal(
+                    mme._trace_weighted_length(domain, bx, xi, eta, w,
+                                               flow_t),
+                    mme._trace_weighted_length(ref_domain, bx, xi, eta, w,
+                                               flow_t))
