@@ -48,12 +48,15 @@ class RunConfig:
     cache_dir: str | None = None
 
     def validate(self):
+        if self.surface not in fu.PRESETS:
+            raise ConfigError(f"unknown surface {self.surface!r}; presets: "
+                              + ", ".join(sorted(fu.PRESETS)))
         if self.radius <= 0 or self.epsilon <= 0 or self.samples <= 0:
             raise ConfigError("radius, epsilon, and samples must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if any(t <= 0 for t in self.t_grid):
-            raise ConfigError("t grid entries must be positive")
+        if not self.t_grid or any(t <= 0 for t in self.t_grid):
+            raise ConfigError("t grid must be nonempty with positive entries")
         if self.box is not None and len(self.box) != 5:
             raise ConfigError("box needs 5 numbers: x,y,theta,radius,halfwidth")
         return self
@@ -100,19 +103,15 @@ def _parse_floats(text):
 def build_config(args) -> RunConfig:
     cfg = RunConfig()
     file_vals = parse_config_file(args.config) if args.config else {}
-    known = {f.name for f in fields(RunConfig)}
+    known = [f.name for f in fields(RunConfig)]
     for k, v in file_vals.items():
         key = "t_grid" if k == "t" else k
         if key not in known:
             raise ConfigError(f"unknown config key {k!r}")
         setattr(cfg, key, v)
-    # flags override file values
-    for flag, key in [("surface", "surface"), ("radius", "radius"),
-                      ("t", "t_grid"), ("epsilon", "epsilon"),
-                      ("samples", "samples"), ("seed", "seed"),
-                      ("box", "box"), ("out", "out"),
-                      ("cache_dir", "cache_dir")]:
-        v = getattr(args, flag, None)
+    # flags override file values; t_grid's flag is --t
+    for key in known:
+        v = getattr(args, "t" if key == "t_grid" else key, None)
         if v is not None:
             setattr(cfg, key, v)
     # normalize string-typed values coming from the config file
@@ -310,7 +309,7 @@ def cmd_cube(cfg: RunConfig) -> int:
     if t > cfg.radius:
         raise ConfigError("t exceeds the spectrum radius")
     table, _, _ = cached_spectrum(cfg)
-    b1 = _default_box(domain, cfg.seed)
+    b1 = cfg.phase_box() or _default_box(domain, cfg.seed)
     b2 = _default_box(domain, cfg.seed + 1)
     m1 = mme.liouville_measure(domain, b1, cfg.samples, seed=cfg.seed + 2)
     m2 = mme.liouville_measure(domain, b2, cfg.samples, seed=cfg.seed + 3)

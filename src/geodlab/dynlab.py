@@ -29,11 +29,6 @@ def axis_pieces(domain: FundamentalDomain, classes):
     is split by `FundamentalDomain.tile_segments`, all classes in one batch;
     owner indexes `classes`.
     """
-    for cls in classes:
-        if cls.axis is None:
-            raise InvalidConfigurationError(
-                f"class {cls.word_str} has no axis (table loaded without its "
-                "surface meta)")
     xi = np.array([c.axis[0].u for c in classes], complex)
     eta = np.array([c.axis[1].u for c in classes], complex)
     ca, cb = hg.carrier_ab(*_pair_geodesics(xi, eta)[:2])

@@ -583,11 +583,9 @@ class GeodesicClass:
     length: float
     primitive: bool
     axis: tuple[hg.BoundaryPoint, hg.BoundaryPoint]  # attracting, repelling
-    rep_a: complex
+    rep_a: complex             # normalized matrix of the canonical word
     rep_b: complex
-    members: int = 1           # ball elements in this class (diagnostic)
     group_id: int = -1         # multiplicity bucket: classes of equal length
-    rep_index: int = -1        # ball position of the representative (built tables)
 
     @property
     def word_str(self) -> str:
@@ -602,10 +600,11 @@ def conjugacy_classes(surface, ball: Ball, max_length):
     undoes l, so the edges are symmetric, and minimum labels spread over
     each connected component (with pointer jumping) until they settle.  A
     class is a component that meets ``ball.inside``; its representative is
-    the inside member of least displacement.
+    the inside member of least displacement, the first stored on ties.
 
-    Returns (classes, class_of) where class_of maps each stored element to
-    its class index, or -1.
+    Returns (words, class_of, reps): the canonical word of each class,
+    the class index of each stored element (or -1), and the ball position
+    of each class's representative.
     """
     length = trace_length(ring_trace(ball.rows))
     node = np.nonzero((length > 0.0) & (length <= max_length))[0]
@@ -629,38 +628,28 @@ def conjugacy_classes(surface, ball: Ball, max_length):
     label_class = np.full(len(node), -1, dtype=np.int64)
     label_class[roots] = np.arange(len(roots))
     class_of[node] = label_class[lab]
-    members = np.bincount(cid, minlength=len(roots))
 
-    # representative: least displacement (|alpha|^2 = p + q sqrt 2, exact
-    # ties), then the sign-normalized entries Im a, Re b, Im b
+    # |alpha|^2 = p + q sqrt 2 orders displacement with exact ties; the
+    # stable sort keeps the first stored member of a tie
     mem = node[inside]
     absq = _zmul(ball.rows[mem, :4], _zconj(ball.rows[mem, :4]))
-    s = np.sign(ball.a.real[mem])
-    order = np.lexsort((s * ball.b.imag[mem], s * ball.b.real[mem],
-                        s * ball.a.imag[mem], absq[:, 0] + absq[:, 1] * SQRT2, cid))
-    first = order[np.r_[0, np.nonzero(np.diff(cid[order]))[0] + 1]]
-    reps = mem[first]
-    ra, rb = hg.normalize_ab(ball.a[reps], ball.b[reps])
-    att, rep = hg.axis_endpoints_ab(ra, rb)
-    tr = np.abs(ring_trace(ball.rows[reps]))
-    classes = [GeodesicClass(
-        canonical_word=canonical_class(ball.word_of(int(i)), surface),
-        trace_abs=float(tr[k]), length=float(length[i]), primitive=True,
-        axis=(hg.BoundaryPoint(complex(att[k])), hg.BoundaryPoint(complex(rep[k]))),
-        rep_a=complex(ra[k]), rep_b=complex(rb[k]), members=int(members[k]),
-        rep_index=int(i)) for k, i in enumerate(reps)]
-    if len({c.canonical_word for c in classes}) != len(classes):
+    order = np.lexsort((absq[:, 0] + absq[:, 1] * SQRT2, cid))
+    reps = mem[order[np.r_[0, np.nonzero(np.diff(cid[order]))[0] + 1]]]
+    words = [canonical_class(ball.word_of(int(i)), surface) for i in reps]
+    if len(set(words)) != len(words):
         raise SpectrumInconsistencyError("two conjugation components share a canonical word")
-    return classes, class_of
+    return words, class_of, reps
 
 
-def _mark_iterates(classes, ball, class_of, max_length):
-    """Flag the class of r^k, k >= 2, for each class representative r.
+def _mark_iterates(ball, reps, class_of, max_length):
+    """Primitive flag of each class: False where the class holds r^k,
+    k >= 2, for a class representative r.
 
     r^k shares the axis of r, so whenever its length is within max_length
     it lies in the stored ball; a missing power means an incomplete ball.
     """
-    base = ball.rows[[c.rep_index for c in classes]].astype(np.int64)
+    primitive = np.ones(len(reps), dtype=bool)
+    base = ball.rows[reps].astype(np.int64)
     power = base
     while len(power):
         power = ring_compose(power, base)
@@ -671,34 +660,40 @@ def _mark_iterates(classes, ball, class_of, max_length):
         if (cid < 0).any():
             raise SpectrumInconsistencyError(
                 f"{int((cid < 0).sum())} class powers missing from the classes")
-        for c in cid:
-            classes[c].primitive = False
+        primitive[cid] = False
+    return primitive
 
 
 # ---------------------------------------------------------------------------
 # spectrum table
 @dataclass
 class SpectrumTable:
-    """Sorted table of oriented conjugacy classes with length <= cutoff."""
+    """Sorted table of oriented conjugacy classes with length <= cutoff,
+    made by ``from_rows`` (``build_spectrum`` and ``load`` both use it)."""
 
     surface_name: str
     cutoff: float
     classes: list[GeodesicClass]
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.classes.sort(key=lambda c: (c.length, c.word_str))
-        gid = -1
-        last = None
-        for c in self.classes:
-            if c.length != last:
-                gid += 1
-                last = c.length
-            c.group_id = gid
+    @classmethod
+    def from_rows(cls, surface, cutoff, rows, meta):
+        """Table of rows (canonical word, |trace|, length, primitive).
 
-    @property
-    def lengths(self):
-        return np.array([c.length for c in self.classes])
+        The one place rows turn into geometry: each representative is the
+        normalized matrix of its canonical word and the axis is its fixed
+        points, so a built table and its reload are equal field by field.
+        """
+        classes = []
+        for word, tr, ell, prim in sorted(rows, key=lambda r: (r[2], word_to_str(r[0]))):
+            a, b = hg.normalize_ab(*surface.eval_word(word))
+            att, rep = hg.axis_endpoints_ab(a, b)
+            gid = classes[-1].group_id + (ell != classes[-1].length) if classes else 0
+            classes.append(GeodesicClass(
+                word, tr, ell, prim,
+                (hg.BoundaryPoint(complex(att)), hg.BoundaryPoint(complex(rep))),
+                complex(a), complex(b), gid))
+        return cls(surface.name, cutoff, classes, meta)
 
     def count_P(self, t, *, primitive_only=False) -> int:
         """Number of oriented classes with length <= t."""
@@ -721,12 +716,11 @@ class SpectrumTable:
     # -- persistence ------------------------------------------------------
 
     def save(self, csv_path, meta_path=None):
-        rows = sorted(self.classes, key=lambda c: (c.length, c.word_str))
         with open(csv_path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["canonical_word", "trace_abs", "length",
                         "primitive", "multiplicity_group_id"])
-            for c in rows:
+            for c in self.classes:
                 w.writerow([c.word_str, repr(c.trace_abs), repr(c.length),
                             int(c.primitive), c.group_id])
         if meta_path is not None:
@@ -736,39 +730,25 @@ class SpectrumTable:
                 f.write("\n")
 
     @classmethod
-    def load(cls, csv_path, meta_path=None):
-        meta = {}
-        if meta_path is not None:
-            with open(meta_path) as f:
-                meta = json.load(f)
-        classes = []
+    def load(cls, csv_path, meta_path):
+        """Reload a saved table; the meta must name a preset surface."""
+        with open(meta_path) as f:
+            meta = json.load(f)
+        try:
+            surface = load_surface(meta.pop("surface", None))
+            cutoff = float(meta.pop("cutoff"))
+        except (BadSurfaceError, KeyError) as e:
+            raise SpectrumInconsistencyError(
+                f"{meta_path} names no preset surface and cutoff ({e})") from e
         with open(csv_path, newline="") as f:
             r = csv.reader(f)
             header = next(r, None)
             if not header or header[0] != "canonical_word":
                 raise SpectrumInconsistencyError(
                     f"{csv_path} is not a spectrum table (header {header!r})")
-            for row in r:
-                classes.append(GeodesicClass(
-                    canonical_word=str_to_word(row[0]),
-                    trace_abs=float(row[1]), length=float(row[2]),
-                    primitive=bool(int(row[3])), axis=None,
-                    rep_a=0j, rep_b=0j, group_id=int(row[4])))
-        surface_name = meta.get("surface", "unknown")
-        if surface_name in PRESETS:
-            # rebuild representatives and axes from the canonical words so a
-            # loaded table supports geodesic realization, not just counting
-            surface = load_surface(surface_name)
-            for c in classes:
-                a, b = hg.normalize_ab(*surface.eval_word(c.canonical_word))
-                att, rep = hg.axis_endpoints_ab(a, b)
-                c.rep_a, c.rep_b = complex(a), complex(b)
-                c.axis = (hg.BoundaryPoint(complex(att)),
-                          hg.BoundaryPoint(complex(rep)))
-        cutoff = float(meta.get("cutoff", max((c.length for c in classes), default=0.0)))
-        table = cls(surface_name, cutoff, classes, {k: v for k, v in meta.items()
-                                                    if k not in ("surface", "cutoff")})
-        return table
+            rows = [(str_to_word(row[0]), float(row[1]), float(row[2]),
+                     bool(int(row[3]))) for row in r]
+        return cls.from_rows(surface, cutoff, rows, meta)
 
 
 DEFAULT_SPECTRUM_MARGIN = 2.0
@@ -795,22 +775,25 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
     """
     if ball is None:
         ball = enumerate_ball(surface, R + margin, c_prune=c_prune)
-    classes, class_of = conjugacy_classes(surface, ball, R)
-    _mark_iterates(classes, ball, class_of, R)
+    words, class_of, reps = conjugacy_classes(surface, ball, R)
+    primitive = _mark_iterates(ball, reps, class_of, R)
+    tr = np.abs(ring_trace(ball.rows[reps]))
+    ell = trace_length(tr)
     if cross_validate_to > 0:
-        _cross_validate_words(surface, ball, classes, class_of,
+        _cross_validate_words(surface, ball, ell, class_of,
                               min(cross_validate_to, R))
-    return SpectrumTable(surface.name, R, classes, spectrum_meta(
+    rows = zip(words, tr.tolist(), ell.tolist(), primitive.tolist())
+    return SpectrumTable.from_rows(surface, R, rows, spectrum_meta(
         R, margin=margin, c_prune=c_prune))
 
 
-def _cross_validate_words(surface, ball, classes, class_of, up_to):
+def _cross_validate_words(surface, ball, lengths, class_of, up_to):
     """Check the conjugation partition against canonical cyclic words."""
     by_word: dict[tuple, set[int]] = {}
     by_class: dict[int, set[int]] = {}
     for i in np.nonzero(ball.inside & (class_of >= 0))[0].tolist():
         cid = int(class_of[i])
-        if classes[cid].length > up_to:
+        if lengths[cid] > up_to:
             continue
         w = canonical_class(ball.word_of(i), surface)
         by_word.setdefault(w, set()).add(i)

@@ -76,6 +76,16 @@ class TestConfig:
                     "--cache-dir", cache]) == cli.EXIT_CONFIG
         assert run(["mme", "--box", "0.1,0.2,0.3", "--out", out,
                     "--cache-dir", cache]) == cli.EXIT_CONFIG
+        # an empty t grid, from a flag or from the config file
+        for cmd in ("count", "cube"):
+            assert run([cmd, "--t", ",", "--radius", "6.5", "--out", out,
+                        "--cache-dir", cache]) == cli.EXIT_CONFIG
+        cfgf = out / "empty_t.cfg"
+        cfgf.write_text("t =\n")
+        assert run(["count", "--config", cfgf, "--out", out,
+                    "--cache-dir", cache]) == cli.EXIT_CONFIG
+        assert run(["spectrum", "--surface", "foo", "--out", out,
+                    "--cache-dir", cache]) == cli.EXIT_CONFIG
 
     def test_mme_writes_its_report(self, workdir):
         out, cache = workdir
@@ -240,3 +250,24 @@ class TestCube:
         assert rep["mixing_target"] > 0.0
         assert set(rep["box1"]) == {"x", "y", "theta", "position_radius",
                                     "angle_halfwidth"}
+
+    def test_box_flag_sets_box1(self, workdir):
+        out, cache = workdir
+        rc = run(["cube", "--radius", "6.5", "--t", "6.0", "--samples", "20000",
+                  "--box", "0.1,-0.05,0.3,0.4,0.6", "--out", out,
+                  "--cache-dir", cache])
+        assert rc == 0
+        rep = json.loads((out / "cube_report.json").read_text())
+        assert rep["box1"] == {"x": 0.1, "y": -0.05, "theta": 0.3,
+                               "position_radius": 0.4, "angle_halfwidth": 0.6}
+
+    def test_cold_and_warm_reports_identical(self, workdir):
+        # a cached table equals a cold build, so the report does not
+        # depend on the state of the cache
+        out, cache = workdir
+        args = ["cube", "--radius", "6.5", "--t", "6.0", "--samples", "20000",
+                "--out", out, "--cache-dir", cache]
+        assert run(args) == 0
+        cold = (out / "cube_report.json").read_bytes()
+        assert run(args) == 0
+        assert (out / "cube_report.json").read_bytes() == cold

@@ -83,13 +83,6 @@ class TestReduceRealize:
         tau = dl.box_times(domain, classes, [full_box(bolza)])[:, 0]
         assert np.abs(tau - [c.length for c in classes]).max() < 1e-12
 
-    def test_class_without_axis_rejected(self, domain, table, tmp_path):
-        # a table loaded without its meta has no surface, hence no axes
-        table.save(tmp_path / "spec.csv")
-        loaded = fu.SpectrumTable.load(tmp_path / "spec.csv")
-        with pytest.raises(InvalidConfigurationError):
-            dl.axis_pieces(domain, loaded.classes[:1])
-
 
 class TestCrossings:
     def test_counts_bounded_by_segments(self, domain, table, big_boxes):

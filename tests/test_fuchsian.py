@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -294,11 +295,29 @@ class TestSpectrum:
             assert c1.primitive == c2.primitive
             assert c1.group_id == c2.group_id
 
+    @pytest.mark.parametrize("name", ["spectrum6", "spectrum8"])
+    def test_reload_equals_build(self, name, request, tmp_path):
+        # representatives and axes come from the canonical words on both
+        # paths, so every field of every class survives the round trip
+        built = request.getfixturevalue(name)
+        built.save(tmp_path / "spec.csv", tmp_path / "spec.json")
+        loaded = fu.SpectrumTable.load(tmp_path / "spec.csv", tmp_path / "spec.json")
+        assert loaded == built
+
     def test_load_rejects_a_file_that_is_not_a_table(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("word,length\naB,3.0\n")
+        meta = tmp_path / "bad.json"
+        meta.write_text(json.dumps({"surface": "bolza", "cutoff": 3.0}))
         with pytest.raises(SpectrumInconsistencyError):
-            fu.SpectrumTable.load(bad)
+            fu.SpectrumTable.load(bad, meta)
+
+    def test_load_rejects_an_unknown_surface(self, spectrum6, tmp_path):
+        csvp, jsonp = tmp_path / "spec.csv", tmp_path / "spec.json"
+        spectrum6.save(csvp, jsonp)
+        jsonp.write_text(json.dumps({"surface": "klein", "cutoff": 6.0}))
+        with pytest.raises(SpectrumInconsistencyError):
+            fu.SpectrumTable.load(csvp, jsonp)
 
     def test_oriented_inverse_pairing(self, bolza, spectrum6):
         # the class of the inverse word has the same length; lengths pair up
