@@ -29,6 +29,8 @@ SIDE_EDGE_TOL = 1e-9    # Klein-model edge length below which a bisector
 SCREEN_MARGIN = 1e-9    # distance slack of the test-set screen, far above
                         # the rounding of either distance test
 SCREEN_BLOCK = 256      # points per block of the (points x test set) screen
+MEMBER_MARGIN = 1e-6    # distance margin of the membership screen
+MEMBER_BLOCK = 4096     # points per block of the membership screen
 
 
 class FundamentalDomain:
@@ -62,6 +64,9 @@ class FundamentalDomain:
         self.side_b = b[side]
         self._side_c = c[side]
         self._side_q = q[side]
+        # membership screen rows (2 Re q, 2 Im q | c), sides and test set
+        rows = np.stack([2.0 * q.real, 2.0 * q.imag, c], axis=1)
+        self._member_rows = {False: rows[side], True: rows}
 
     # -- membership -------------------------------------------------------
 
@@ -70,16 +75,33 @@ class FundamentalDomain:
 
         dist(gamma z, o) >= dist(z, o) - tol for every side element, whose
         half-planes cut out F (or for the whole test set when full=True,
-        the reference the sides are checked against).
+        the reference the sides are checked against).  A screen decides
+        almost every point: with u = 1 + |z|^2, e = 2 Re(z conj q) - c u is
+        (1 - |z|^2) (cosh d(z, o) - cosh d(gamma z, o)), and as sinh <= cosh,
+        e < -2 m u for every element puts z inside, e > (tol + m) u for one
+        outside, each by a distance margin m = MEMBER_MARGIN.  The distance
+        test decides the rest and points with 1 - |z|^2 < m, so the result
+        is always the distance test's.
         """
-        z = np.atleast_1d(np.asarray(z, complex))
-        d0 = hg.dist_z(z, 0j)
-        ok = np.ones(len(z), dtype=bool)
+        z = np.ascontiguousarray(np.atleast_1d(np.asarray(z, complex)))
+        rows, zv = self._member_rows[full], z.view(float).reshape(-1, 2)
+        ok, unsure = np.empty((2, len(z)), dtype=bool)
+        for k in range(0, len(z), MEMBER_BLOCK):
+            zk, blk = zv[k:k + MEMBER_BLOCK], slice(k, k + MEMBER_BLOCK)
+            u = 1.0 + np.einsum("ij,ij->i", zk, zk)
+            worst = (rows[:, :2] @ zk.T - rows[:, 2:] * u).max(axis=0)
+            ok[blk] = worst < -2.0 * MEMBER_MARGIN * u
+            unsure[blk] = ~((ok[blk] | (worst > (tol + MEMBER_MARGIN) * u))
+                            & (u < 2.0 - MEMBER_MARGIN))
+        zu = z[unsure]
+        d0 = hg.dist_z(zu, 0j)
+        exact = np.ones(len(zu), dtype=bool)
         ta = self.test_a if full else self.side_a
         tb = self.test_b if full else self.side_b
         for a, b in zip(ta, tb):
-            w = hg.mobius_apply_z(a, b, z)
-            ok &= hg.dist_z(w, 0j) >= d0 - tol
+            w = hg.mobius_apply_z(a, b, zu)
+            exact &= hg.dist_z(w, 0j) >= d0 - tol
+        ok[unsure] = exact
         return ok
 
     def clip(self, ca, cb):

@@ -102,6 +102,37 @@ class TestMembership:
         assert (inside == domain.contains_z(z, full=True)).all()
         assert 0 < inside[2000:].sum() < 4000
 
+    def test_screen_agrees_with_the_distance_test(self, domain):
+        # points on and 1e-15 to 1e-3 off every test-set bisector, out to
+        # 1 - |z|^2 ~ 1e-15 where the distance test's rounding dwarfs the
+        # screen's margin: the screen must hand each point to the distance
+        # test or decide it as that test does
+        s = np.concatenate([np.linspace(-2, 2, 41), np.linspace(19, 36, 18),
+                            -np.linspace(19, 36, 18)])
+        pts = []
+        for a, b in zip(domain.test_a, domain.test_b):
+            w = -b / a                      # the neighbour centre g^-1 o
+            u = w / abs(w)
+            mid = math.tanh(0.25 * hg.dist_z(w, 0j)) * u
+            ca, cb = hg.carrier_ab(np.array([mid]),
+                                   np.array([np.angle(1j * u)]))
+            line = hg.mobius_apply_z(ca, cb, np.tanh(0.5 * s) + 0j)
+            for e in (0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3):
+                pts += [line + e * u, line - e * u]
+        z = np.concatenate(pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d0 = hg.dist_z(z, 0j)
+            for full in (False, True):
+                ta = domain.test_a if full else domain.side_a
+                tb = domain.test_b if full else domain.side_b
+                for tol in (0.0, 1e-9, 1e-6):
+                    want = np.ones(len(z), dtype=bool)
+                    for a, b in zip(ta, tb):
+                        w = hg.mobius_apply_z(a, b, z)
+                        want &= hg.dist_z(w, 0j) >= d0 - tol
+                    got = domain.contains_z(z, tol, full=full)
+                    assert (got == want).all()
+
     def test_sides_are_the_generator_letters(self, bolza, domain):
         assert len(domain.side_a) == bolza.n_letters == 8
         for a, b in zip(domain.side_a, domain.side_b):
