@@ -25,7 +25,8 @@ from . import hypgeom as hg
 from . import jacobi as ja
 from . import mme
 from .errors import (ConfigError, DegenerateMeasureError, GeodlabError,
-                     IntegrationError, NumericDegeneracyError)
+                     IntegrationError, InvalidConfigurationError,
+                     NumericDegeneracyError)
 from .quotient import FundamentalDomain
 
 EXIT_ACCEPTANCE = 1
@@ -59,6 +60,10 @@ class RunConfig:
             raise ConfigError("t grid must be nonempty with positive entries")
         if self.box is not None and len(self.box) != 5:
             raise ConfigError("box needs 5 numbers: x,y,theta,radius,halfwidth")
+        try:
+            self.phase_box()
+        except InvalidConfigurationError as e:
+            raise ConfigError(f"box: {e}") from e
         return self
 
     def resolved_cache_dir(self):

@@ -10,10 +10,16 @@ views for the geometry: ``Ball.a``, ``Ball.b``, displacements and axes.
 
 The orbit ball is a pruned breadth-first search over the Cayley graph, one
 integer product per letter and level, deduplicated through sorted 64-bit
-row hashes with a full-row check on every hash hit.  Conjugacy classes are
-the connected components of the stored elements under conjugation by single
-generators, cross-validated against an independent cyclic-word
-canonicalization on small lengths.
+row hashes with a full-row check on every hash hit.  Each level is expanded
+in blocks of ``BFS_BLOCK_ROWS`` frontier rows that keep only the candidates
+within the cutoff, so memory follows the stored rows rather than the
+all-letter candidates.  Conjugacy classes are the connected components of
+the stored elements under conjugation by single generators, cross-validated
+against an independent cyclic-word canonicalization on small lengths.  That
+canonicalization searches relator substitutions through one move table per
+relator, (k, u, inverse(v)) for every rotation u v, matched with
+``bytes.find``.  A class's matrix and axis are those of its canonical word:
+a build derives them at once, a reloaded table on first use.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -357,6 +363,7 @@ DEFAULT_HARD_CAP = 16.0
 # prune-stability; it is far cheaper than the worst-case bound through the
 # full Dirichlet diameter.
 DEFAULT_C_PRUNE = 2.0
+BFS_BLOCK_ROWS = 1 << 14   # frontier rows expanded at once within a BFS level
 
 
 def enumerate_ball(surface: SurfaceModel, R: float, *, c_prune: float = DEFAULT_C_PRUNE,
@@ -383,13 +390,16 @@ def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, max_elements=math.inf,
     Each level extends the previous level's new elements by every letter
     but the backtrack, drops those with displacement above ``cutoff`` (from
     the float view, before any integer product is formed) and keeps the
-    first of each element not seen before.  Stops when a level adds nothing
-    or after ``max_levels`` levels.  Returns (index, disp, parent, letter)
-    with the identity at position 0.
+    first of each element not seen before.  The frontier is expanded
+    ``BFS_BLOCK_ROWS`` rows at a time and only the kept candidates of each
+    block are held, in the order a single block would give.  Stops when a
+    level adds nothing or after ``max_levels`` levels.  Returns (index,
+    disp, parent, letter) with the identity at position 0.
     """
     nl = surface.n_letters
-    ga, gb = surface.gen_a, surface.gen_b
+    ga, gb = surface.gen_a, np.conj(surface.gen_b)
     right = _right_matrices(surface.ring)
+    backtrack = np.arange(nl) ^ 1
     index = _RowIndex(IDENTITY[None, :].astype(np.int32))
     d_parts = [np.array([0.0])]
     p_parts = [np.array([-1], dtype=np.int64)]
@@ -404,23 +414,30 @@ def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, max_elements=math.inf,
     while len(fr) and level < max_levels:
         level += 1
         # expand frontier by all letters, skipping the immediate backtrack
-        fa, fb = ring_to_ab(fr)
-        na = (fa[:, None] * ga[None, :] + fb[:, None] * np.conj(gb)[None, :]).ravel()
-        src = np.repeat(np.arange(len(fr)), nl)
-        let = np.tile(np.arange(nl, dtype=np.int8), len(fr))
-        disp = hg.displacement_ab(na, 0.0)
-        keep = (disp <= cutoff) & (np.repeat(fl, nl) != (let ^ 1))
-        src, let, disp = src[keep], let[keep], disp[keep]
+        src, let, disp, prod = [], [], [], []
+        wide = False
+        for i in range(0, len(fr), BFS_BLOCK_ROWS):
+            br = fr[i:i + BFS_BLOCK_ROWS]
+            fa, fb = ring_to_ab(br)
+            d = hg.displacement_ab(fa[:, None] * ga + fb[:, None] * gb, 0.0)
+            s, l = np.nonzero((d <= cutoff)
+                              & (fl[i:i + BFS_BLOCK_ROWS, None] != backtrack))
+            p = np.empty((len(s), 8), dtype=np.int64)
+            for k in range(nl):
+                sel = l == k
+                p[sel] = br[s[sel]] @ right[k]
+            wide = wide or (len(p) and np.abs(p).max() >= 2**31)
+            src.append(s + i)
+            let.append(l.astype(np.int8))
+            disp.append(d[s, l])
+            prod.append(p.astype(np.int32))
+        src, let, disp = (np.concatenate(x) for x in (src, let, disp))
         if not len(src):
             break
-        prod = np.empty((len(src), 8), dtype=np.int64)
-        for l in range(nl):
-            sel = let == l
-            prod[sel] = fr[src[sel]] @ right[l]
-        if np.abs(prod).max() >= 2**31:
+        if wide:
             raise PartialEnumerationError("integer coefficients exceed int32",
                                           max(float(disp.min()) - c_prune, 0.0))
-        prod = prod.astype(np.int32)
+        prod = np.concatenate(prod)
         new = index.add_new(prod)
         if not len(new):
             break
@@ -442,13 +459,34 @@ def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, max_elements=math.inf,
 # ---------------------------------------------------------------------------
 # cyclic-word canonicalization (Dehn reduction for the surface relator)
 
-def _relator_rotations(surface):
+@lru_cache(maxsize=None)
+def _relator_moves(relator):
+    """Move table of a relator: (k, len(r), u as bytes, inverse(v)) for
+    every rotation r = u v of the relator and of its inverse, k = len(u) >= 1,
+    in rotation order and then ascending k."""
     rots = set()
-    for base in (surface.relator, inverse_word(surface.relator)):
+    for base in (relator, inverse_word(relator)):
         n = len(base)
         for i in range(n):
             rots.add(base[i:] + base[:i])
-    return tuple(rots)
+    return tuple((k, len(rot), bytes(rot[:k]), inverse_word(rot[k:]))
+                 for rot in rots for k in range(1, len(rot)))
+
+
+@lru_cache(maxsize=None)
+def _live_moves(relator, n, max_len):
+    """The (k, u, inverse(v)) of the move table that apply to a cyclic word
+    of length n with nominal result length n - 2k + len(r) <= max_len."""
+    return tuple((k, u, repl) for k, rl, u, repl in _relator_moves(relator)
+                 if k <= n and n - 2 * k + rl <= max_len)
+
+
+@lru_cache(maxsize=None)
+def _dehn_moves(relator):
+    """The (u, inverse(v)) of the move table with u longer than half r."""
+    take = len(relator) // 2 + 1
+    return tuple((u, repl) for k, rl, u, repl in _relator_moves(relator)
+                 if k == take)
 
 
 def _free_reduce(word):
@@ -468,39 +506,32 @@ def _cyclic_reduce(word):
     return tuple(w)
 
 
-def _dehn_step(word, rotations, half):
+def _dehn_step(word, relator):
     """One rewrite: replace a long relator subword by its shorter complement.
 
-    Looks for cyclic subwords strictly longer than half the relator; returns
-    the rewritten cyclic word or None if none applies.
+    Looks for cyclic subwords strictly longer than half the relator, the
+    first in table order and then position; returns the rewritten cyclic
+    word or None if none applies.
     """
     n = len(word)
-    if n == 0:
+    if n <= len(relator) // 2:
         return None
     doubled = word + word
-    for rot in rotations:
-        rl = len(rot)
-        take = half + 1
-        if n < take:
-            continue
-        for i in range(n):
-            if doubled[i:i + take] == rot[:take]:
-                # word contains rot[:take]; rot = rot[:take] * rot[take:]
-                # so rot[:take] = inverse(rot[take:]) in the group
-                repl = inverse_word(rot[take:])
-                rest = doubled[i + take:i + n]
-                return _cyclic_reduce(repl + rest)
+    text = bytes(doubled)
+    for u, repl in _dehn_moves(relator):
+        # u = rot[:take] equals inverse(rot[take:]) in the group
+        i = text.find(u)
+        if 0 <= i < n:
+            return _cyclic_reduce(repl + doubled[i + len(u):i + n])
     return None
 
 
 def dehn_cyclic_reduce(word, surface):
     """Cyclically reduce, then shrink with Dehn rewrites to a fixpoint."""
-    rotations = _relator_rotations(surface)
-    half = len(surface.relator) // 2
     w = _cyclic_reduce(word)
     budget = max(10 * len(word), 40)
     for _ in range(budget):
-        nxt = _dehn_step(w, rotations, half)
+        nxt = _dehn_step(w, surface.relator)
         if nxt is None:
             return w
         w = nxt
@@ -513,27 +544,24 @@ def _min_rotation(word):
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
-def _substitution_moves(word, rotations, max_len):
+def _substitution_moves(word, relator, max_len):
     """Cyclic words obtained by one relator substitution.
 
     For every relator rotation r = u v, every cyclic occurrence of u may be
     replaced by inverse(v); only results of nominal length <= max_len are
     produced (callers re-filter on the Dehn-reduced length, which can be
-    shorter than nominal).
+    shorter than nominal).  Moves run in ``_relator_moves`` table order and
+    occurrences in ascending position.
     """
     n = len(word)
     doubled = word + word
+    text = bytes(doubled)
     out = set()
-    for rot in rotations:
-        rl = len(rot)
-        for k in range(1, rl):
-            if k > n or n - 2 * k + rl > max_len:
-                continue
-            u = rot[:k]
-            repl = inverse_word(rot[k:])
-            for i in range(n):
-                if doubled[i:i + k] == u:
-                    out.add(_cyclic_reduce(repl + doubled[i + k:i + n]))
+    for k, u, repl in _live_moves(relator, n, max_len):
+        i = text.find(u)
+        while 0 <= i < n:
+            out.add(_cyclic_reduce(repl + doubled[i + k:i + n]))
+            i = text.find(u, i + 1)
     return out
 
 
@@ -552,7 +580,6 @@ def canonical_class(word, surface, *, slack=2, max_states=200_000):
     w0 = _min_rotation(dehn_cyclic_reduce(tuple(word), surface))
     if not w0:
         raise CanonicalizationError("trivial word has no conjugacy class")
-    rotations = _relator_rotations(surface)
     best_len = len(w0)
     seen = {w0}
     queue = [w0]
@@ -560,7 +587,7 @@ def canonical_class(word, surface, *, slack=2, max_states=200_000):
         cur = queue.pop()
         if len(cur) > best_len + slack:
             continue
-        for raw in _substitution_moves(cur, rotations, best_len + slack):
+        for raw in _substitution_moves(cur, surface.relator, best_len + slack):
             nxt = _min_rotation(_cyclic_reduce(raw))
             if not nxt or nxt in seen or len(nxt) > best_len + slack:
                 continue
@@ -578,18 +605,40 @@ def canonical_class(word, surface, *, slack=2, max_states=200_000):
 
 @dataclass
 class GeodesicClass:
+    """One oriented class; its matrix and axis are those of the canonical
+    word, computed on first use."""
+
     canonical_word: tuple[int, ...]
     trace_abs: float
     length: float
     primitive: bool
-    axis: tuple[hg.BoundaryPoint, hg.BoundaryPoint]  # attracting, repelling
-    rep_a: complex             # normalized matrix of the canonical word
-    rep_b: complex
     group_id: int = -1         # multiplicity bucket: classes of equal length
+    surface: SurfaceModel | None = field(default=None, repr=False, compare=False)
 
     @property
     def word_str(self) -> str:
         return word_to_str(self.canonical_word)
+
+    @cached_property
+    def _geometry(self):
+        a, b = hg.normalize_ab(*self.surface.eval_word(self.canonical_word))
+        att, rep = hg.axis_endpoints_ab(a, b)
+        return ((hg.BoundaryPoint(complex(att)), hg.BoundaryPoint(complex(rep))),
+                complex(a), complex(b))
+
+    @property
+    def axis(self) -> tuple[hg.BoundaryPoint, hg.BoundaryPoint]:
+        """(attracting, repelling) fixed points of ``rep_a``, ``rep_b``."""
+        return self._geometry[0]
+
+    @property
+    def rep_a(self) -> complex:
+        """Normalized matrix (rep_a, rep_b) of the canonical word."""
+        return self._geometry[1]
+
+    @property
+    def rep_b(self) -> complex:
+        return self._geometry[2]
 
 
 def conjugacy_classes(surface, ball: Ball, max_length):
@@ -680,19 +729,14 @@ class SpectrumTable:
     def from_rows(cls, surface, cutoff, rows, meta):
         """Table of rows (canonical word, |trace|, length, primitive).
 
-        The one place rows turn into geometry: each representative is the
-        normalized matrix of its canonical word and the axis is its fixed
-        points, so a built table and its reload are equal field by field.
+        The one place rows become classes: each class derives its
+        representative and axis from its canonical word when first read, so
+        a built table and its reload are equal field by field.
         """
         classes = []
         for word, tr, ell, prim in sorted(rows, key=lambda r: (r[2], word_to_str(r[0]))):
-            a, b = hg.normalize_ab(*surface.eval_word(word))
-            att, rep = hg.axis_endpoints_ab(a, b)
             gid = classes[-1].group_id + (ell != classes[-1].length) if classes else 0
-            classes.append(GeodesicClass(
-                word, tr, ell, prim,
-                (hg.BoundaryPoint(complex(att)), hg.BoundaryPoint(complex(rep))),
-                complex(a), complex(b), gid))
+            classes.append(GeodesicClass(word, tr, ell, prim, gid, surface))
         return cls(surface.name, cutoff, classes, meta)
 
     def count_P(self, t, *, primitive_only=False) -> int:
@@ -769,9 +813,18 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
                    ball: Ball | None = None) -> SpectrumTable:
     """Build the oriented length spectrum up to length R.
 
-    Any class of length l has a representative whose axis meets the
-    Dirichlet domain, hence displacement <= 2 acosh(cosh(l/2) cosh(r)) with
-    r the domain circumradius; ``margin`` covers that overhead.
+    A representative whose axis passes within r of the origin has
+    displacement d with sinh(d/2) <= cosh(r) sinh(l/2), so d < l + 2 ln
+    cosh r.  Every class has one whose axis meets the Dirichlet domain,
+    which through the circumradius r = 2.448 only gives l + 3.53: more than
+    the default ``margin`` = 2.  The default rests instead on a covering
+    that is so far only measured, not proven: every geodesic seems to pass
+    within the inradius acosh(1 + sqrt 2) = 1.529 of an orbit point, which
+    gives d < l + 2 ln(1 + sqrt 2) = l + 1.763.  A build at margin 3.575,
+    beyond the circumradius bound, has the same classes (see tests).
+
+    The built table has every class's geometry derived already; a table
+    reloaded from its CSV derives it on first use.
     """
     if ball is None:
         ball = enumerate_ball(surface, R + margin, c_prune=c_prune)
@@ -783,8 +836,11 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
         _cross_validate_words(surface, ball, ell, class_of,
                               min(cross_validate_to, R))
     rows = zip(words, tr.tolist(), ell.tolist(), primitive.tolist())
-    return SpectrumTable.from_rows(surface, R, rows, spectrum_meta(
+    table = SpectrumTable.from_rows(surface, R, rows, spectrum_meta(
         R, margin=margin, c_prune=c_prune))
+    for c in table.classes:    # the build pays for its own geometry
+        c.axis  # noqa: B018
+    return table
 
 
 def _cross_validate_words(surface, ball, lengths, class_of, up_to):

@@ -292,10 +292,6 @@ def apply(g: Isometry, p: DiskPoint) -> DiskPoint:
     return DiskPoint((g.a * p.z + g.b) / den)
 
 
-def apply_boundary(g: Isometry, xi: BoundaryPoint) -> BoundaryPoint:
-    return BoundaryPoint(complex(mobius_boundary_z(g.a, g.b, xi.u)))
-
-
 def apply_phase(g: Isometry, v: PhasePoint) -> PhasePoint:
     """Action on unit tangent vectors (direction via the Möbius derivative)."""
     base = apply(g, v.base)

@@ -87,6 +87,21 @@ class TestConfig:
         assert run(["spectrum", "--surface", "foo", "--out", out,
                     "--cache-dir", cache]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("cmd", ["cube", "mme"])
+    @pytest.mark.parametrize("box", ["0,0,0,-1,0.5", "0,0,0,0.3,4"],
+                             ids=["radius", "halfwidth"])
+    def test_out_of_range_box_is_config_error(self, cmd, box, workdir,
+                                              monkeypatch):
+        # the box is checked with the rest of the configuration, before
+        # any ball is enumerated or table built
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the box was checked")
+
+        monkeypatch.setattr(fu, "enumerate_ball", no_work)
+        out, cache = workdir
+        assert run([cmd, "--radius", "6.5", "--t", "6.0", "--box", box,
+                    "--out", out, "--cache-dir", cache]) == cli.EXIT_CONFIG
+
     def test_mme_writes_its_report(self, workdir):
         out, cache = workdir
         rc = run(["mme", "--samples", "20000", "--out", out,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,36 @@ class TestEnumerateBall:
         with pytest.raises(OutOfRangeError):
             fu.enumerate_ball(bolza, 17.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda s: fu.enumerate_ball(s, 8.0),
+        lambda s: fu.brute_force_ball(s, 5),
+    ], ids=["enumerate_R8", "brute_force_5"])
+    def test_blocked_levels_equal_one_block(self, bolza, build, monkeypatch):
+        # a level expanded in blocks of 7 frontier rows keeps the same
+        # candidates in the same order as one block over the whole level
+        monkeypatch.setattr(fu, "BFS_BLOCK_ROWS", 1 << 40)
+        whole = build(bolza)
+        monkeypatch.setattr(fu, "BFS_BLOCK_ROWS", 7)
+        blocked = build(bolza)
+        for name in ("rows", "disp", "parent", "letter"):
+            x, y = getattr(whole, name), getattr(blocked, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    def test_peak_memory_follows_the_stored_rows(self, bolza):
+        # the candidates of a level (all letters of every frontier row) are
+        # never held at once, so the peak stays near the arrays kept
+        fu.enumerate_ball(bolza, 3.0)
+        tracemalloc.start()
+        try:
+            ball = fu.enumerate_ball(bolza, 12.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(x.nbytes for x in (ball.rows, ball._index.hash,
+                                      ball._index.order, ball.disp,
+                                      ball.parent, ball.letter))
+        assert peak < 2.2 * kept, peak / kept
+
 
 class TestCanonicalClass:
     def test_rotation_invariance(self, bolza):
@@ -180,6 +211,54 @@ class TestCanonicalClass:
     def test_relator_rotations_are_trivial(self, bolza):
         # the relator itself reduces to the empty cyclic word
         assert fu.dehn_cyclic_reduce(bolza.relator, bolza) == ()
+
+    def test_move_table_equals_the_nested_search(self, bolza, spectrum8):
+        # oracle: every relator rotation, every k, every position, by slices
+        rots = set()
+        for base in (bolza.relator, fu.inverse_word(bolza.relator)):
+            for i in range(len(base)):
+                rots.add(base[i:] + base[:i])
+        rots = tuple(rots)
+
+        def moves(word, max_len):
+            n, doubled, out = len(word), word + word, set()
+            for rot in rots:
+                for k in range(1, len(rot)):
+                    if k > n or n - 2 * k + len(rot) > max_len:
+                        continue
+                    repl = fu.inverse_word(rot[k:])
+                    for i in range(n):
+                        if doubled[i:i + k] == rot[:k]:
+                            out.add(fu._cyclic_reduce(repl + doubled[i + k:i + n]))
+            return out
+
+        def dehn(word):
+            w = fu._cyclic_reduce(word)
+            take = len(bolza.relator) // 2 + 1
+            while True:
+                n, doubled = len(w), w + w
+                hit = next(((i, rot) for rot in rots if n >= take
+                            for i in range(n) if doubled[i:i + take] == rot[:take]),
+                           None)
+                if hit is None:
+                    return w
+                i, rot = hit
+                w = fu._cyclic_reduce(fu.inverse_word(rot[take:])
+                                      + doubled[i + take:i + n])
+
+        r = np.random.default_rng(3)
+        words = [c.canonical_word for c in spectrum8.classes]
+        words += [fu.inverse_word(w) for w in words]
+        while len(words) < 2 * len(spectrum8.classes) + 2000:
+            w = [int(r.integers(8))]
+            for _ in range(int(r.integers(0, 14))):
+                w.append(int(r.choice([l for l in range(8) if l != w[-1] ^ 1])))
+            words.append(tuple(w))
+        for w in words:
+            for max_len in (len(w), len(w) + 2, len(w) + 4):
+                got = fu._substitution_moves(w, bolza.relator, max_len)
+                assert list(got) == list(moves(w, max_len)), (w, max_len)
+            assert fu.dehn_cyclic_reduce(w, bolza) == dehn(w), w
 
 
 class TestSpectrum:
@@ -303,6 +382,37 @@ class TestSpectrum:
         built.save(tmp_path / "spec.csv", tmp_path / "spec.json")
         loaded = fu.SpectrumTable.load(tmp_path / "spec.csv", tmp_path / "spec.json")
         assert loaded == built
+
+    def test_geometry_on_first_use(self, bolza, spectrum6, tmp_path, monkeypatch):
+        # loading a table (from_rows) evaluates no word matrix; reading a
+        # class's geometry evaluates its canonical word once
+        calls = []
+        eval_word = fu.SurfaceModel.eval_word
+
+        def counted(surface, word):
+            calls.append(word)
+            return eval_word(surface, word)
+
+        spectrum6.save(tmp_path / "spec.csv", tmp_path / "spec.json")
+        monkeypatch.setattr(fu.SurfaceModel, "eval_word", counted)
+        loaded = fu.SpectrumTable.load(tmp_path / "spec.csv", tmp_path / "spec.json")
+        assert calls == []
+        for c, built in zip(loaded.classes, spectrum6.classes):
+            a, b = hg.normalize_ab(*eval_word(bolza, c.canonical_word))
+            att, rep = hg.axis_endpoints_ab(a, b)
+            assert (c.rep_a, c.rep_b) == (complex(a), complex(b))
+            assert (c.axis[0].u, c.axis[1].u) == (complex(att), complex(rep))
+            assert (c.axis, c.rep_a, c.rep_b) == (built.axis, built.rep_a, built.rep_b)
+        assert calls == [c.canonical_word for c in loaded.classes]
+        assert loaded == spectrum6
+
+    def test_worst_case_margin_gives_the_same_classes(self, bolza):
+        # 3.575 exceeds l + 2 ln cosh(circumradius) = l + 3.526 for every l,
+        # the margin a representative meeting the domain is sure to need
+        default = fu.build_spectrum(bolza, 9.0)
+        wide = fu.build_spectrum(bolza, 9.0, margin=3.575)
+        assert len(wide.classes) == len(default.classes)
+        assert wide.classes == default.classes
 
     def test_load_rejects_a_file_that_is_not_a_table(self, tmp_path):
         bad = tmp_path / "bad.csv"
