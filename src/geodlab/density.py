@@ -9,8 +9,6 @@ bins with a mass-based noise floor.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -250,23 +248,3 @@ def check_equivariance(surface: fu.SurfaceModel, gamma: hg.Isometry,
                           "raw_shifted_mass": raw_mass,
                           "reference_mass": mu_p.total_mass,
                           "truncation_bound": abs(series_hi - series_lo)})
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def export_density(measure: BoundaryMeasure, n_bins: int,
-                   csv_path, json_path) -> None:
-    masses = measure.binned(n_bins)
-    centers = bin_centers(n_bins)
-    with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_center_angle", "mass"])
-        for c, m in zip(centers, masses):
-            w.writerow([repr(float(c)), repr(float(m))])
-    with open(json_path, "w") as f:
-        json.dump({"p": [measure.basepoint.z.real, measure.basepoint.z.imag],
-                   "s": measure.exponent_s, "R": measure.truncation_R,
-                   "bins": n_bins, "total_mass": measure.total_mass},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -22,30 +22,28 @@ from .quotient import FundamentalDomain
 TWO_PI = 2.0 * math.pi
 
 
-def axis_pieces(domain: FundamentalDomain, classes):
-    """Tile pieces of one period of each class axis: (owner, a, b, length).
+def axis_pieces(domain: FundamentalDomain, table: fu.SpectrumTable, rows: slice):
+    """Tile pieces of one period of each class axis of ``table.classes[rows]``:
+    (owner, a, b, length), owner counted from the start of the slice.
 
     The period [0, length] starts at the axis point nearest the origin and
-    is split by `FundamentalDomain.tile_segments`, all classes in one batch;
-    owner indexes `classes`.
+    is split by `FundamentalDomain.tile_segments`, all classes in one batch.
     """
-    xi = np.array([c.axis[0].u for c in classes], complex)
-    eta = np.array([c.axis[1].u for c in classes], complex)
+    xi, eta = (end[rows] for end in table.axes)
     ca, cb = hg.carrier_ab(*_pair_geodesics(xi, eta)[:2])
-    ell = np.array([c.length for c in classes], float)
+    ell = table.length[rows]
     return domain.tile_segments(ca, cb, np.zeros(len(ell)), ell)
 
 
-def box_times(domain: FundamentalDomain, classes, boxes) -> np.ndarray:
-    """Exact arclength each closed geodesic spends in each box.
-
-    Returns an array of shape (len(classes), len(boxes)): the chart lengths
-    of the class's axis pieces inside the box, summed over one period.
+def box_times(domain: FundamentalDomain, table: fu.SpectrumTable, rows: slice, boxes):
+    """Exact arclength each closed geodesic of ``table.classes[rows]`` spends
+    in each box, shape (classes, boxes): the chart lengths of the class's
+    axis pieces inside the box, summed over one period.
     """
-    owner, a, b, length = axis_pieces(domain, classes)
+    owner, a, b, length = axis_pieces(domain, table, rows)
+    n = len(table.length[rows])
     return np.stack([np.bincount(owner, weights=bx.chart_length(a, b, length),
-                                 minlength=len(classes)) for bx in boxes],
-                    axis=1)
+                                 minlength=n) for bx in boxes], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +113,11 @@ def equidistribution_profile(table: fu.SpectrumTable,
     if t > table.cutoff + 1e-12:
         raise InvalidConfigurationError(
             f"t = {t} beyond table cutoff {table.cutoff}")
-    classes = [c for c in table.classes if c.length <= t + 1e-12]
-    if not classes:
+    rows = slice(0, np.searchsorted(table.length, t + 1e-12, side="right"))
+    ell = table.length[rows]
+    if not len(ell):
         raise InvalidConfigurationError(f"no classes below t = {t}")
-    ell = np.array([c.length for c in classes])
-    return (box_times(domain, classes, boxes) / ell[:, None]).mean(axis=0)
+    return (box_times(domain, table, rows, boxes) / ell[:, None]).mean(axis=0)
 
 
 def equidistribution_stat(table: fu.SpectrumTable, domain: FundamentalDomain,
@@ -177,10 +175,10 @@ def counting_suite(table: fu.SpectrumTable, t_grid, eps: float, *,
         p_cum = table.count_P(t)
         cumulative.append(CountingRow(t, p_cum, math.exp(h * t) / (h * t)))
     if box is not None:
-        lo, hi = min(t_grid) - eps, max(t_grid) + eps
-        classes = [c for c in table.classes if lo < c.length <= hi]
-        ell = np.array([c.length for c in classes])
-        tau = box_times(domain, classes, [box])[:, 0]
+        rows = slice(*np.searchsorted(
+            table.length, [min(t_grid) - eps, max(t_grid) + eps], side="right"))
+        ell = table.length[rows]
+        tau = box_times(domain, table, rows, [box])[:, 0]
         for t in t_grid:
             win = (t - eps < ell) & (ell <= t + eps)
             triangle.append(CountingRow(

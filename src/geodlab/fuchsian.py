@@ -18,8 +18,9 @@ the stored elements under conjugation by single generators, cross-validated
 against an independent cyclic-word canonicalization on small lengths.  That
 canonicalization searches relator substitutions through one move table per
 relator, (k, u, inverse(v)) for every rotation u v, matched with
-``bytes.find``.  A class's matrix and axis are those of its canonical word:
-a build derives them at once, a reloaded table on first use.
+``bytes.find``.  The table is columnar; each class's axis is that of the
+rotation of its canonical word of least exact displacement, multiplied out
+in one batch, so a built table and its reload agree bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,6 +107,20 @@ def _conjugation_matrices(ring):
     """(n, 8, 8) integer matrices C with row @ C[l] = g_l row g_l^-1."""
     left = ring_compose(ring[:, None, :], np.eye(8, dtype=np.int64))
     return ring_compose(left, ring[np.arange(len(ring)) ^ 1, None, :])
+
+
+def least_displacement(rows, group):
+    """Position in ``rows`` of each group's element of least displacement,
+    the first on ties; ``group`` labels the rows 0, 1, ...
+
+    Displacement grows with |alpha|^2 = p + q sqrt 2 (integers p, q), and
+    sqrt 2 -> -sqrt 2 sends det = |alpha|^2 - (2 + 2 sqrt 2)|gamma|^2 = 1 to
+    |alpha'|^2 + (2 sqrt 2 - 2)|gamma'|^2 = 1.  So 0 <= p - q sqrt 2 <= 1,
+    and p + q sqrt 2 = 2p - (p - q sqrt 2) orders exactly as (p, q).
+    """
+    absq = _zmul(rows[:, :4], _zconj(rows[:, :4]))
+    order = np.lexsort((absq[:, 1], absq[:, 0], group))
+    return order[np.r_[0, np.nonzero(np.diff(group[order]))[0] + 1]]
 
 
 def _row_hash(rows):
@@ -284,13 +300,6 @@ def str_to_word(s):
 # ---------------------------------------------------------------------------
 # ball enumeration
 
-@dataclass
-class GroupElement:
-    matrix: hg.Isometry
-    word: tuple[int, ...]
-    displacement: float
-
-
 class Ball:
     """All group elements with displacement <= radius, with word recovery.
 
@@ -328,15 +337,6 @@ class Ball:
             out.append(int(self.letter[i]))
             i = int(self.parent[i])
         return tuple(reversed(out))
-
-    def element(self, i) -> GroupElement:
-        a, b = hg.normalize_ab(self.a[i], self.b[i])
-        return GroupElement(hg.Isometry(complex(a), complex(b)),
-                            self.word_of(i), float(self.disp[i]))
-
-    def elements(self):
-        for i in np.nonzero(self.inside)[0]:
-            yield self.element(int(i))
 
     def find(self, rows):
         """Stored position of each integer row, or -1."""
@@ -603,44 +603,6 @@ def canonical_class(word, surface, *, slack=2, max_states=200_000):
 # ---------------------------------------------------------------------------
 # conjugacy classes: components of the conjugation graph on the stored ball
 
-@dataclass
-class GeodesicClass:
-    """One oriented class; its matrix and axis are those of the canonical
-    word, computed on first use."""
-
-    canonical_word: tuple[int, ...]
-    trace_abs: float
-    length: float
-    primitive: bool
-    group_id: int = -1         # multiplicity bucket: classes of equal length
-    surface: SurfaceModel | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def word_str(self) -> str:
-        return word_to_str(self.canonical_word)
-
-    @cached_property
-    def _geometry(self):
-        a, b = hg.normalize_ab(*self.surface.eval_word(self.canonical_word))
-        att, rep = hg.axis_endpoints_ab(a, b)
-        return ((hg.BoundaryPoint(complex(att)), hg.BoundaryPoint(complex(rep))),
-                complex(a), complex(b))
-
-    @property
-    def axis(self) -> tuple[hg.BoundaryPoint, hg.BoundaryPoint]:
-        """(attracting, repelling) fixed points of ``rep_a``, ``rep_b``."""
-        return self._geometry[0]
-
-    @property
-    def rep_a(self) -> complex:
-        """Normalized matrix (rep_a, rep_b) of the canonical word."""
-        return self._geometry[1]
-
-    @property
-    def rep_b(self) -> complex:
-        return self._geometry[2]
-
-
 def conjugacy_classes(surface, ball: Ball, max_length):
     """Group ball elements with translation length <= max_length into classes.
 
@@ -678,12 +640,8 @@ def conjugacy_classes(surface, ball: Ball, max_length):
     label_class[roots] = np.arange(len(roots))
     class_of[node] = label_class[lab]
 
-    # |alpha|^2 = p + q sqrt 2 orders displacement with exact ties; the
-    # stable sort keeps the first stored member of a tie
     mem = node[inside]
-    absq = _zmul(ball.rows[mem, :4], _zconj(ball.rows[mem, :4]))
-    order = np.lexsort((absq[:, 0] + absq[:, 1] * SQRT2, cid))
-    reps = mem[order[np.r_[0, np.nonzero(np.diff(cid[order]))[0] + 1]]]
+    reps = mem[least_displacement(ball.rows[mem], cid)]
     words = [canonical_class(ball.word_of(int(i)), surface) for i in reps]
     if len(set(words)) != len(words):
         raise SpectrumInconsistencyError("two conjugation components share a canonical word")
@@ -715,44 +673,84 @@ def _mark_iterates(ball, reps, class_of, max_length):
 
 # ---------------------------------------------------------------------------
 # spectrum table
+
+def least_rotation_rows(surface, words):
+    """Integer row of each word's cyclic rotation of least displacement, the
+    first on ties, multiplied out in one batch per word length."""
+    out = np.empty((len(words), 8), dtype=np.int64)
+    for n in set(map(len, words)):
+        idx = [i for i, w in enumerate(words) if len(w) == n]
+        rot = np.array([words[i] for i in idx])[:, (np.arange(n)[:, None] + np.arange(n)) % n]
+        prod = surface.ring[rot[..., 0]]                     # (m, n, 8)
+        for j in range(1, n):
+            if np.abs(prod).max() >= 1 << 56:    # a letter product grows < 2^6
+                raise SpectrumInconsistencyError(f"words of length {n} exceed int64")
+            prod = ring_compose(prod, surface.ring[rot[..., j]])
+        prod = prod.reshape(-1, 8)
+        out[idx] = prod[least_displacement(prod, np.repeat(np.arange(len(idx)), n))]
+    return out
+
+
+class SpectrumRow(NamedTuple):
+    """One oriented class of a spectrum table."""
+
+    canonical_word: tuple[int, ...]
+    trace_abs: float
+    length: float
+    primitive: bool
+    group_id: int              # multiplicity bucket: classes of equal length
+
+    @property
+    def word_str(self) -> str:
+        return word_to_str(self.canonical_word)
+
+
 @dataclass
 class SpectrumTable:
-    """Sorted table of oriented conjugacy classes with length <= cutoff,
-    made by ``from_rows`` (``build_spectrum`` and ``load`` both use it)."""
+    """Oriented classes with length <= cutoff, made by ``from_rows``: rows
+    sorted by (length, word), their ``length`` array, ``axes`` on first use."""
 
-    surface_name: str
+    surface: SurfaceModel = field(repr=False, compare=False)
     cutoff: float
-    classes: list[GeodesicClass]
+    classes: tuple[SpectrumRow, ...]
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.length = np.array([c.length for c in self.classes], dtype=float)
 
     @classmethod
     def from_rows(cls, surface, cutoff, rows, meta):
-        """Table of rows (canonical word, |trace|, length, primitive).
-
-        The one place rows become classes: each class derives its
-        representative and axis from its canonical word when first read, so
-        a built table and its reload are equal field by field.
-        """
+        """Table of rows (canonical word, |trace|, length, primitive)."""
         classes = []
         for word, tr, ell, prim in sorted(rows, key=lambda r: (r[2], word_to_str(r[0]))):
             gid = classes[-1].group_id + (ell != classes[-1].length) if classes else 0
-            classes.append(GeodesicClass(word, tr, ell, prim, gid, surface))
-        return cls(surface.name, cutoff, classes, meta)
+            classes.append(SpectrumRow(word, tr, ell, prim, gid))
+        return cls(surface, cutoff, tuple(classes), meta)
 
-    def count_P(self, t, *, primitive_only=False) -> int:
+    @property
+    def surface_name(self) -> str:
+        return self.surface.name
+
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(attracting, repelling) axis endpoints of every class: the fixed
+        points of its canonical word's least-displacement rotation."""
+        rows = least_rotation_rows(self.surface,
+                                   [c.canonical_word for c in self.classes])
+        return hg.axis_endpoints_ab(*ring_to_ab(rows))
+
+    def count_P(self, t) -> int:
         """Number of oriented classes with length <= t."""
         if t > self.cutoff + 1e-12:
             raise OutOfRangeError(f"t = {t} beyond table cutoff {self.cutoff}")
-        return sum(1 for c in self.classes
-                   if c.length <= t and (c.primitive or not primitive_only))
+        return int(np.searchsorted(self.length, t, side="right"))
 
-    def count_window(self, t, eps, *, primitive_only=False) -> int:
+    def count_window(self, t, eps) -> int:
         """Number of classes with length in (t - eps, t + eps]."""
         if t + eps > self.cutoff + 1e-12:
             raise OutOfRangeError(f"t + eps = {t + eps} beyond cutoff {self.cutoff}")
-        return sum(1 for c in self.classes
-                   if t - eps < c.length <= t + eps
-                   and (c.primitive or not primitive_only))
+        lo, hi = np.searchsorted(self.length, [t - eps, t + eps], side="right")
+        return int(hi - lo)
 
     def systole(self) -> float:
         return self.classes[0].length if self.classes else math.inf
@@ -790,14 +788,18 @@ class SpectrumTable:
             if not header or header[0] != "canonical_word":
                 raise SpectrumInconsistencyError(
                     f"{csv_path} is not a spectrum table (header {header!r})")
-            rows = [(str_to_word(row[0]), float(row[1]), float(row[2]),
-                     bool(int(row[3]))) for row in r]
+            try:            # "?" fails an empty word as a bad letter would
+                rows = [(str_to_word(w or "?"), float(tr), float(ell),
+                         bool(int(p))) for w, tr, ell, p, _ in r]
+            except ValueError as e:
+                raise SpectrumInconsistencyError(
+                    f"{csv_path} line {r.line_num}: not a table row ({e})") from e
         return cls.from_rows(surface, cutoff, rows, meta)
 
 
 DEFAULT_SPECTRUM_MARGIN = 2.0
 # bump whenever a code change alters what a built table holds
-SPECTRUM_SCHEMA = 2
+SPECTRUM_SCHEMA = 3
 
 
 def spectrum_meta(R, *, margin=DEFAULT_SPECTRUM_MARGIN, c_prune=DEFAULT_C_PRUNE) -> dict:
@@ -820,11 +822,14 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
     the default ``margin`` = 2.  The default rests instead on a covering
     that is so far only measured, not proven: every geodesic seems to pass
     within the inradius acosh(1 + sqrt 2) = 1.529 of an orbit point, which
-    gives d < l + 2 ln(1 + sqrt 2) = l + 1.763.  A build at margin 3.575,
-    beyond the circumradius bound, has the same classes (see tests).
+    gives d < l + 2 ln(1 + sqrt 2) = l + 1.763, as checked on the orbit alone
+    by ``test_geodesics_pass_within_the_inradius_of_an_orbit_point``.  A
+    build at margin 3.575, beyond the circumradius bound, has the same
+    classes (see tests).
 
-    The built table has every class's geometry derived already; a table
-    reloaded from its CSV derives it on first use.
+    Class geometry comes from each canonical word's least-displacement
+    rotation, one batch for the whole table: a build computes it at once, a
+    table reloaded from its CSV on first use, with the same bits.
     """
     if ball is None:
         ball = enumerate_ball(surface, R + margin, c_prune=c_prune)
@@ -838,8 +843,7 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
     rows = zip(words, tr.tolist(), ell.tolist(), primitive.tolist())
     table = SpectrumTable.from_rows(surface, R, rows, spectrum_meta(
         R, margin=margin, c_prune=c_prune))
-    for c in table.classes:    # the build pays for its own geometry
-        c.axis  # noqa: B018
+    table.axes  # noqa: B018  (the build pays for its own geometry)
     return table
 
 

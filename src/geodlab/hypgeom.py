@@ -247,10 +247,6 @@ class Isometry:
     def rotation(cls, theta):
         return cls(*rotation_ab(theta))
 
-    @classmethod
-    def translation_to(cls, p: DiskPoint):
-        return cls(*translation_ab(p.z))
-
     def compose(self, other: "Isometry") -> "Isometry":
         a, b = compose_ab(self.a, self.b, other.a, other.b)
         a, b = normalize_ab(a, b)

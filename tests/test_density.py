@@ -107,21 +107,3 @@ class TestEquivariance:
         assert rep.max_rel_dev < 1e-9
         diff = abs(rep.meta["raw_shifted_mass"] - rep.meta["reference_mass"])
         assert diff <= rep.meta["truncation_bound"]
-
-
-class TestExport:
-    def test_round_trip_files(self, bolza, ball12, tmp_path):
-        import csv
-        import json
-
-        mu = de.ps_density(bolza, hg.ORIGIN, 1.05, 10.0, ball=ball12)
-        cp, jp = tmp_path / "d.csv", tmp_path / "d.json"
-        de.export_density(mu, 48, cp, jp)
-        with open(cp, newline="") as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["bin_center_angle", "mass"]
-        masses = np.array([float(r[1]) for r in rows[1:]])
-        assert len(masses) == 48
-        assert abs(masses.sum() - mu.total_mass) < 1e-9
-        meta = json.loads(jp.read_text())
-        assert meta["bins"] == 48 and meta["R"] == 10.0

@@ -49,24 +49,23 @@ class TestReduceRealize:
 
     def test_realized_samples_in_F(self, domain, table):
         # every tile piece of every period is carried into F
-        _, a, b, length = dl.axis_pieces(domain, table.classes[:10])
+        _, a, b, length = dl.axis_pieces(domain, table, slice(0, 10))
         x = np.tanh(0.5 * np.outer(length, np.linspace(0.0, 1.0, 9))) + 0j
         z = hg.mobius_apply_z(a[:, None], b[:, None], x)
         assert domain.contains_z(z.ravel(), tol=1e-6).all()
 
     def test_sample_count_and_total_length(self, domain, table):
         # the pieces of each period add up to its length
-        classes = table.classes[:40]
-        owner, _, _, length = dl.axis_pieces(domain, classes)
-        total = np.bincount(owner, weights=length, minlength=len(classes))
+        owner, _, _, length = dl.axis_pieces(domain, table, slice(0, 40))
+        total = np.bincount(owner, weights=length, minlength=40)
         assert (length > 0).all()
-        assert np.abs(total - [c.length for c in classes]).max() < 1e-12
+        assert np.abs(total - table.length[:40]).max() < 1e-12
 
     def test_periodicity_in_the_quotient(self, domain, table):
         # each piece starts where the previous one ends, and the last one
         # ends where the first starts, as points of the quotient
-        for cls in table.classes[:5]:
-            _, a, b, length = dl.axis_pieces(domain, [cls])
+        for i in range(5):
+            _, a, b, length = dl.axis_pieces(domain, table, slice(i, i + 1))
             start = b / np.conj(a)
             end = hg.mobius_apply_z(a, b, np.tanh(0.5 * length) + 0j)
             qd = domain.quotient_dist_z(end, np.roll(start, -1))
@@ -74,29 +73,28 @@ class TestReduceRealize:
             # the closed-form flow by one period returns to the start
             v = hg.PhasePoint(hg.DiskPoint(complex(start[0])),
                               float(2.0 * np.angle(a[0])))
-            w, _ = domain.reduce_phase(hg.flow(v, cls.length))
+            w, _ = domain.reduce_phase(hg.flow(v, table.length[i]))
             assert domain.quotient_dist_z(np.array([w.base.z]),
                                           start[:1])[0] < 1e-6
 
     def test_full_box_counts_every_sample(self, bolza, domain, table):
-        classes = table.classes[:30]
-        tau = dl.box_times(domain, classes, [full_box(bolza)])[:, 0]
-        assert np.abs(tau - [c.length for c in classes]).max() < 1e-12
+        tau = dl.box_times(domain, table, slice(0, 30), [full_box(bolza)])[:, 0]
+        assert np.abs(tau - table.length[:30]).max() < 1e-12
 
 
 class TestCrossings:
     def test_counts_bounded_by_segments(self, domain, table, big_boxes):
         # box times lie in [0, length], and complementary angle windows
         # add up to the full circle
-        classes = table.classes[:20]
-        ell = np.array([c.length for c in classes])
+        ell = table.length[:20]
         b = big_boxes[0]
         halves = [mme.PhaseBox(hg.PhasePoint(b.center.base,
                                              b.center.dir + shift),
                                b.position_radius, math.pi / 2)
                   for shift in (0.0, math.pi)]
         full = mme.PhaseBox(b.center, b.position_radius, math.pi)
-        tau = dl.box_times(domain, classes, big_boxes + halves + [full])
+        tau = dl.box_times(domain, table, slice(0, 20),
+                          big_boxes + halves + [full])
         assert (tau >= 0).all() and (tau <= ell[:, None] + 1e-12).all()
         assert np.abs(tau[:, 2] + tau[:, 3] - tau[:, 4]).max() < 1e-12
         assert (tau[:, 4] > 0).any()

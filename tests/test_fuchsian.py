@@ -40,6 +40,16 @@ def spectrum10(bolza):
 
 
 ELL = 2.0 * math.acosh(1.0 + math.sqrt(2.0))  # Bolza generator length
+INRADIUS = math.acosh(1.0 + math.sqrt(2.0))   # of the Dirichlet octagon
+
+
+def least_displacement_oracle(surface, word):
+    """Float matrix of the cyclic rotation of ``word`` with the least
+    displacement, the first within 1e-9 on ties."""
+    mats = [hg.normalize_ab(*surface.eval_word(word[i:] + word[:i]))
+            for i in range(len(word))]
+    disp = [float(hg.displacement_ab(a, b)) for a, b in mats]
+    return mats[next(i for i, d in enumerate(disp) if d <= min(disp) + 1e-9)]
 
 
 class TestSurfaceModel:
@@ -83,16 +93,17 @@ class TestEnumerateBall:
     def test_radius_zero_is_identity(self, bolza):
         b = fu.enumerate_ball(bolza, 0.0)
         assert b.size == 1
-        (e,) = list(b.elements())
-        assert e.word == () and e.displacement == 0.0
+        (i,) = np.nonzero(b.inside)[0]
+        assert b.word_of(int(i)) == () and b.disp[i] == 0.0
 
     def test_radius_3p1_generators_only(self, bolza):
         b = fu.enumerate_ball(bolza, 3.1)
-        words = sorted(e.word for e in b.elements())
+        inside = np.nonzero(b.inside)[0]
+        words = sorted(b.word_of(int(i)) for i in inside)
         assert words == [()] + [(l,) for l in range(8)]
-        for e in b.elements():
-            if e.word:
-                assert abs(e.displacement - ELL) < 1e-9
+        for i in inside:
+            if b.word_of(int(i)):
+                assert abs(b.disp[i] - ELL) < 1e-9
 
     def test_matches_brute_force_at_R6(self, bolza):
         pruned = fu.enumerate_ball(bolza, 6.0)
@@ -130,8 +141,20 @@ class TestEnumerateBall:
         for i in idx:
             a, b = bolza.eval_word(ball10.word_of(int(i)))
             an, bn = hg.normalize_ab(a, b)
-            e = ball10.element(int(i))
-            assert abs(an - e.matrix.a) < 1e-8 and abs(bn - e.matrix.b) < 1e-8
+            en, fn = hg.normalize_ab(ball10.a[i], ball10.b[i])
+            assert abs(an - en) < 1e-8 and abs(bn - fn) < 1e-8
+
+    def test_displacement_key_orders_as_integer_pairs(self, ball10):
+        # |alpha|^2 = p + q sqrt 2 with its Galois conjugate p - q sqrt 2 in
+        # [0, 1], so least_displacement may order (p, q) lexicographically
+        absq = fu._zmul(ball10.rows[:, :4], fu._zconj(ball10.rows[:, :4]))
+        assert (absq[:, 2] == 0).all() and (absq[:, 3] == -absq[:, 1]).all()
+        gap = absq[:, 0] - absq[:, 1] * math.sqrt(2.0)
+        assert gap.min() >= -1e-9 and gap.max() <= 1.0 + 1e-9
+        group = np.zeros(len(ball10.rows), dtype=np.int64)
+        disp = hg.displacement_ab(ball10.a, ball10.b)
+        i = fu.least_displacement(ball10.rows[1:], group[1:]) + 1
+        assert disp[i] == np.sort(disp[1:])[0]
 
     def test_count_monotone_and_range_guard(self, ball10):
         counts = [ball10.count(r) for r in np.linspace(0, 10, 21)]
@@ -353,12 +376,23 @@ class TestSpectrum:
         for c in spectrum6.classes:
             assert abs(2 * math.acosh(c.trace_abs / 2) - c.length) < 1e-9
 
-    def test_axis_endpoints_fixed_by_representative(self, spectrum6):
-        for c in spectrum6.classes[:40]:
-            att, rep = c.axis
-            for u in (att.u, rep.u):
-                im = hg.mobius_boundary_z(c.rep_a, c.rep_b, u)
-                assert abs(im - u) < 1e-8
+    def test_axis_endpoints_fixed_by_representative(self, bolza, spectrum6):
+        # oracle: the float matrix of every rotation of the canonical word
+        att, rep = spectrum6.axes
+        for i, c in enumerate(spectrum6.classes):
+            a, b = least_displacement_oracle(bolza, c.canonical_word)
+            want_att, want_rep = hg.axis_endpoints_ab(a, b)
+            assert abs(att[i] - want_att) < 1e-9, c.word_str
+            assert abs(rep[i] - want_rep) < 1e-9, c.word_str
+            for u in (att[i], rep[i]):
+                assert abs(hg.mobius_boundary_z(a, b, u) - u) < 1e-8
+
+    def test_axes_pass_within_the_inradius(self, spectrum10):
+        # the geodesic with endpoints a half-gap alpha apart passes at
+        # cosh d = 1 / sin(alpha) from the origin
+        xi, eta = spectrum10.axes
+        d = np.arccosh(1.0 / np.sin(0.5 * np.abs(np.angle(xi / eta))))
+        assert d.max() <= INRADIUS + 1e-9, d.max()
 
     def test_save_load_round_trip(self, spectrum6, tmp_path):
         csvp = tmp_path / "spec.csv"
@@ -384,26 +418,29 @@ class TestSpectrum:
         assert loaded == built
 
     def test_geometry_on_first_use(self, bolza, spectrum6, tmp_path, monkeypatch):
-        # loading a table (from_rows) evaluates no word matrix; reading a
-        # class's geometry evaluates its canonical word once
+        # loading a table computes no geometry; its first read of the axes
+        # runs one batch of exact products, evaluates no float word matrix,
+        # and gives the built table's axes bit for bit
+        batch = fu.least_rotation_rows
         calls = []
-        eval_word = fu.SurfaceModel.eval_word
 
-        def counted(surface, word):
-            calls.append(word)
-            return eval_word(surface, word)
+        def counted(surface, words):
+            calls.append(len(words))
+            return batch(surface, words)
+
+        def no_eval(surface, word):
+            raise AssertionError("eval_word on the table path")
 
         spectrum6.save(tmp_path / "spec.csv", tmp_path / "spec.json")
-        monkeypatch.setattr(fu.SurfaceModel, "eval_word", counted)
+        monkeypatch.setattr(fu, "least_rotation_rows", counted)
+        monkeypatch.setattr(fu.SurfaceModel, "eval_word", no_eval)
+        fu.build_spectrum(bolza, 4.0)
+        calls.clear()
         loaded = fu.SpectrumTable.load(tmp_path / "spec.csv", tmp_path / "spec.json")
         assert calls == []
-        for c, built in zip(loaded.classes, spectrum6.classes):
-            a, b = hg.normalize_ab(*eval_word(bolza, c.canonical_word))
-            att, rep = hg.axis_endpoints_ab(a, b)
-            assert (c.rep_a, c.rep_b) == (complex(a), complex(b))
-            assert (c.axis[0].u, c.axis[1].u) == (complex(att), complex(rep))
-            assert (c.axis, c.rep_a, c.rep_b) == (built.axis, built.rep_a, built.rep_b)
-        assert calls == [c.canonical_word for c in loaded.classes]
+        for got, built in zip(loaded.axes, spectrum6.axes):
+            assert got.dtype == built.dtype and got.tobytes() == built.tobytes()
+        assert calls == [len(loaded.classes)]
         assert loaded == spectrum6
 
     def test_worst_case_margin_gives_the_same_classes(self, bolza):
@@ -416,11 +453,14 @@ class TestSpectrum:
 
     def test_load_rejects_a_file_that_is_not_a_table(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("word,length\naB,3.0\n")
         meta = tmp_path / "bad.json"
         meta.write_text(json.dumps({"surface": "bolza", "cutoff": 3.0}))
-        with pytest.raises(SpectrumInconsistencyError):
-            fu.SpectrumTable.load(bad, meta)
+        header = "canonical_word,trace_abs,length,primitive,multiplicity_group_id\n"
+        for text in ("word,length\naB,3.0\n", header + "abc,3.0\n",
+                     header + "aZ,1,2,0,0\n", header + "aB,x,2,0,0\n"):
+            bad.write_text(text)
+            with pytest.raises(SpectrumInconsistencyError):
+                fu.SpectrumTable.load(bad, meta)
 
     def test_load_rejects_an_unknown_surface(self, spectrum6, tmp_path):
         csvp, jsonp = tmp_path / "spec.csv", tmp_path / "spec.json"
@@ -428,6 +468,36 @@ class TestSpectrum:
         jsonp.write_text(json.dumps({"surface": "klein", "cutoff": 6.0}))
         with pytest.raises(SpectrumInconsistencyError):
             fu.SpectrumTable.load(csvp, jsonp)
+
+    def test_geodesics_pass_within_the_inradius_of_an_orbit_point(self, bolza):
+        # the covering behind build_spectrum's default margin, checked on the
+        # orbit alone: random geodesics whose closest point to o lies within
+        # the circumradius, and the pencil of lines through a vertex of F from
+        # the direction of o to that of the next octagon centre, whose middle
+        # line (an edge of F extended) passes at exactly the inradius
+        ball = fu.enumerate_ball(bolza, 7.0)
+        orbit = (ball.b / np.conj(ball.a))[ball.inside]
+        assert len(orbit) == 265
+
+        def nearest(z, theta):
+            ia, ib = hg.inverse_ab(*hg.carrier_ab(z, theta))
+            out = []
+            for k in range(0, len(z), 2000):
+                # each geodesic moved onto the real diameter
+                w = hg.mobius_apply_z(ia[k:k + 2000, None], ib[k:k + 2000, None], orbit)
+                out.append(np.arcsinh(2.0 * np.abs(w.imag)
+                                      / (1.0 - np.abs(w) ** 2)).min(axis=1))
+            return np.concatenate(out)
+
+        rng = np.random.default_rng(11)
+        r = rng.uniform(0.0, bolza.domain_radius, 20_000)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 20_000)
+        foot = np.tanh(0.5 * r) * np.exp(1j * phi)
+        assert nearest(foot, phi + 0.5 * math.pi).max() <= INRADIUS + 1e-9
+        vertex = math.tanh(0.5 * bolza.domain_radius) * np.exp(1j * math.pi / 8.0)
+        pencil = nearest(np.full(13, vertex),
+                         math.pi * (1.0 + 1.0 / 8.0 + np.arange(13) / 48.0))
+        assert abs(pencil.max() - INRADIUS) < 1e-9
 
     def test_oriented_inverse_pairing(self, bolza, spectrum6):
         # the class of the inverse word has the same length; lengths pair up

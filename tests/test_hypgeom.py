@@ -8,6 +8,7 @@ from geodlab import hypgeom as hg
 from geodlab.hypgeom import (
     BoundaryPoint, DiskPoint, Isometry, PhasePoint, ORIGIN,
     apply, apply_phase, busemann, dist, endpoints, flow, trace_class,
+    translation_ab,
 )
 
 
@@ -29,7 +30,7 @@ def random_isometry(r, tmax=3.0):
     # translation along a random direction composed with a rotation
     t = r.uniform(0, tmax)
     p = DiskPoint(math.tanh(t / 2) * cmath.exp(1j * r.uniform(0, 2 * math.pi)))
-    return Isometry.translation_to(p) @ Isometry.rotation(r.uniform(0, 2 * math.pi))
+    return Isometry(*translation_ab(p.z)) @ Isometry.rotation(r.uniform(0, 2 * math.pi))
 
 
 class TestApply:
