@@ -52,6 +52,9 @@ class RunConfig:
         if self.surface not in fu.PRESETS:
             raise ConfigError(f"unknown surface {self.surface!r}; presets: "
                               + ", ".join(sorted(fu.PRESETS)))
+        if not all(map(math.isfinite, [self.radius, self.epsilon,
+                                       *self.t_grid, *(self.box or ())])):
+            raise ConfigError("numeric values must be finite")
         if self.radius <= 0 or self.epsilon <= 0 or self.samples <= 0:
             raise ConfigError("radius, epsilon, and samples must be positive")
         if self.seed < 0:
@@ -120,10 +123,12 @@ def build_config(args) -> RunConfig:
         if v is not None:
             setattr(cfg, key, v)
     # normalize string-typed values coming from the config file
-    cfg.radius = float(cfg.radius)
-    cfg.epsilon = float(cfg.epsilon)
-    cfg.samples = int(cfg.samples)
-    cfg.seed = int(cfg.seed)
+    for key, kind in (("radius", float), ("epsilon", float),
+                      ("samples", int), ("seed", int)):
+        try:
+            setattr(cfg, key, kind(getattr(cfg, key)))
+        except ValueError as e:
+            raise ConfigError(f"bad {key} value ({e})") from e
     if isinstance(cfg.t_grid, str):
         cfg.t_grid = _parse_floats(cfg.t_grid)
     if isinstance(cfg.box, str):

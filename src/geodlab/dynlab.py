@@ -16,7 +16,7 @@ import numpy as np
 from . import fuchsian as fu
 from . import hypgeom as hg
 from .errors import InvalidConfigurationError
-from .mme import MeasureEstimate, PhaseBox, _pair_geodesics
+from .mme import MeasureEstimate, PhaseBox
 from .quotient import FundamentalDomain
 
 TWO_PI = 2.0 * math.pi
@@ -30,7 +30,7 @@ def axis_pieces(domain: FundamentalDomain, table: fu.SpectrumTable, rows: slice)
     is split by `FundamentalDomain.tile_segments`, all classes in one batch.
     """
     xi, eta = (end[rows] for end in table.axes)
-    ca, cb = hg.carrier_ab(*_pair_geodesics(xi, eta)[:2])
+    ca, cb = hg.pair_carrier_ab(xi, eta)
     ell = table.length[rows]
     return domain.tile_segments(ca, cb, np.zeros(len(ell)), ell)
 

@@ -9,14 +9,6 @@ class NumericDegeneracyError(GeodlabError):
     """A formula hit a numerically degenerate configuration."""
 
 
-class ClassificationAmbiguousError(GeodlabError):
-    """Trace landed in the parabolic window; classification would be a guess.
-
-    Cocompact groups have no parabolics, so this always signals numerical
-    trouble upstream and is fatal for spectrum work.
-    """
-
-
 class BadSurfaceError(GeodlabError):
     """Surface config fails its invariants (relator does not close, etc.)."""
 

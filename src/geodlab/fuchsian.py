@@ -103,6 +103,16 @@ def _right_matrices(ring):
     return ring_compose(np.eye(8, dtype=np.int64), ring[:, None, :])
 
 
+def _letter_products(rows, letters, right):
+    """Integer row i times letter letters[i], one matrix product per letter;
+    ``right`` is ``_right_matrices(ring)``."""
+    out = np.empty((len(rows), 8), dtype=np.int64)
+    for k, r in enumerate(right):
+        sel = letters == k
+        out[sel] = rows[sel] @ r
+    return out
+
+
 def _conjugation_matrices(ring):
     """(n, 8, 8) integer matrices C with row @ C[l] = g_l row g_l^-1."""
     left = ring_compose(ring[:, None, :], np.eye(8, dtype=np.int64))
@@ -396,10 +406,9 @@ def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, max_elements=math.inf,
     level adds nothing or after ``max_levels`` levels.  Returns (index,
     disp, parent, letter) with the identity at position 0.
     """
-    nl = surface.n_letters
     ga, gb = surface.gen_a, np.conj(surface.gen_b)
     right = _right_matrices(surface.ring)
-    backtrack = np.arange(nl) ^ 1
+    backtrack = np.arange(surface.n_letters) ^ 1
     index = _RowIndex(IDENTITY[None, :].astype(np.int32))
     d_parts = [np.array([0.0])]
     p_parts = [np.array([-1], dtype=np.int64)]
@@ -422,10 +431,7 @@ def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, max_elements=math.inf,
             d = hg.displacement_ab(fa[:, None] * ga + fb[:, None] * gb, 0.0)
             s, l = np.nonzero((d <= cutoff)
                               & (fl[i:i + BFS_BLOCK_ROWS, None] != backtrack))
-            p = np.empty((len(s), 8), dtype=np.int64)
-            for k in range(nl):
-                sel = l == k
-                p[sel] = br[s[sel]] @ right[k]
+            p = _letter_products(br[s], l, right)
             wide = wide or (len(p) and np.abs(p).max() >= 2**31)
             src.append(s + i)
             let.append(l.astype(np.int8))
@@ -676,17 +682,19 @@ def _mark_iterates(ball, reps, class_of, max_length):
 
 def least_rotation_rows(surface, words):
     """Integer row of each word's cyclic rotation of least displacement, the
-    first on ties, multiplied out in one batch per word length."""
+    first on ties, multiplied out letter by letter in one batch per word
+    length."""
+    right = _right_matrices(surface.ring)
     out = np.empty((len(words), 8), dtype=np.int64)
     for n in set(map(len, words)):
         idx = [i for i, w in enumerate(words) if len(w) == n]
         rot = np.array([words[i] for i in idx])[:, (np.arange(n)[:, None] + np.arange(n)) % n]
-        prod = surface.ring[rot[..., 0]]                     # (m, n, 8)
+        rot = rot.reshape(-1, n)                             # (m n, n)
+        prod = surface.ring[rot[:, 0]]
         for j in range(1, n):
             if np.abs(prod).max() >= 1 << 56:    # a letter product grows < 2^6
                 raise SpectrumInconsistencyError(f"words of length {n} exceed int64")
-            prod = ring_compose(prod, surface.ring[rot[..., j]])
-        prod = prod.reshape(-1, 8)
+            prod = _letter_products(prod, rot[:, j], right)
         out[idx] = prod[least_displacement(prod, np.repeat(np.arange(len(idx)), n))]
     return out
 

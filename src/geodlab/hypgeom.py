@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassificationAmbiguousError, NumericDegeneracyError
+from .errors import NumericDegeneracyError
 
 TWO_PI = 2.0 * math.pi
 
 INTERIOR_MARGIN = 1e-12
 BOUNDARY_TOL = 1e-12
 DET_TOL = 1e-9
-PARABOLIC_WINDOW = 1e-9
 
 
 def reduce_angle(theta):
@@ -129,6 +128,23 @@ def carrier_ab(z, theta):
     ta, tb = translation_ab(z)
     ra, rb = rotation_ab(theta)
     return compose_ab(ta, tb, ra, rb)
+
+
+def pair_carrier_ab(xi, eta):
+    """Carrier of the geodesic from boundary point eta to xi.
+
+    The result (a, b) takes -1 to eta and +1 to xi, and the origin to the
+    geodesic's point nearest o, which sits at Euclidean radius
+    tan(pi/4 - |phi|/2) on the bisector of the pair, phi being the signed
+    half-gap from that bisector to xi.
+    """
+    m = xi + eta
+    deg = np.abs(m) < 1e-12
+    delta = np.where(deg, np.angle(xi) - 0.5 * math.pi, np.angle(m))
+    phi = np.angle(xi * np.exp(-1j * delta))          # signed half-gap
+    r_c = np.tan(0.25 * math.pi - 0.5 * np.abs(phi))
+    return carrier_ab(r_c * np.exp(1j * delta),
+                      delta + np.sign(phi) * 0.5 * math.pi)
 
 
 def advance_ab(a, b, s):
@@ -325,13 +341,6 @@ def endpoints(v: PhasePoint):
     return BoundaryPoint(complex(xi)), BoundaryPoint(complex(eta))
 
 
-@dataclass(frozen=True)
-class TraceClassification:
-    kind: str  # "hyperbolic" | "elliptic" | "identity"
-    translation_length: float | None = None
-    axis_endpoints: tuple[BoundaryPoint, BoundaryPoint] | None = field(default=None)
-
-
 def axis_endpoints_ab(a, b):
     """Boundary fixed points of a hyperbolic isometry, attracting first.
 
@@ -351,21 +360,3 @@ def axis_endpoints_ab(a, b):
     att = np.where(d1 > 1.0, z1, z2)
     rep = np.where(d1 > 1.0, z2, z1)
     return att, rep
-
-
-def trace_class(g: Isometry) -> TraceClassification:
-    """Classify an isometry by |trace| and report hyperbolic invariants."""
-    tr = abs(g.trace)
-    if abs(g.b) < PARABOLIC_WINDOW and abs(tr - 2.0) <= PARABOLIC_WINDOW:
-        return TraceClassification("identity")
-    if abs(tr - 2.0) <= PARABOLIC_WINDOW:
-        raise ClassificationAmbiguousError(
-            f"|trace| = {tr!r} within the parabolic window; cocompact groups "
-            "have no parabolics, so this signals numerical trouble")
-    if tr < 2.0:
-        return TraceClassification("elliptic")
-    length = 2.0 * math.acosh(0.5 * tr)
-    att, rep = axis_endpoints_ab(g.a, g.b)
-    return TraceClassification(
-        "hyperbolic", length,
-        (BoundaryPoint(complex(att)), BoundaryPoint(complex(rep))))

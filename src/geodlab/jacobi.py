@@ -336,21 +336,6 @@ def riccati_subspaces(metric: ConformalMetric, s0: GeodesicState,
     return RiccatiReport(float(u_stable[0]), float(u_unstable[0]), T)
 
 
-def unstable_jacobi(metric: ConformalMetric, s0: GeodesicState,
-                    T: float = DEFAULT_T, dt: float = DEFAULT_DT):
-    """Unstable Jacobi scalar J(s) with J(0) = 1, J'(0) = u_unstable.
-
-    J(s) = exp(integral of u) along the forward orbit, with u integrated
-    from the Riccati equation; nondecreasing for every preset (K <= 0).
-    """
-    h, k = _two_way_curvature(metric, [s0.x], [s0.y], [s0.theta], T, dt, s0.s)
-    _, u_unstable = _riccati_limits(h, k)
-    u = _riccati_along(k[:, 0, 0], h, u_unstable[0])
-    growth = [math.exp(v) for v in 0.5 * h * (u[:-1] + u[1:])]
-    s = s0.s + (T / (len(u) - 1)) * np.arange(len(u))
-    return s, np.cumprod([1.0] + growth)
-
-
 # ---------------------------------------------------------------------------
 # suites
 

@@ -38,7 +38,7 @@ class PhaseBox:
     angle_halfwidth: float
 
     def __post_init__(self):
-        if self.position_radius <= 0:
+        if not self.position_radius > 0:
             raise InvalidConfigurationError("position_radius must be positive")
         if not 0 < self.angle_halfwidth <= math.pi:
             raise InvalidConfigurationError("angle_halfwidth must be in (0, pi]")
@@ -95,12 +95,6 @@ class PhaseBox:
                                      hg.mobius_dir_z(a, b, mid, 0.0))
         out[idx] = (np.diff(q, axis=1) * inside).sum(axis=1)
         return out
-
-    def contains(self, v: hg.PhasePoint, domain: FundamentalDomain) -> bool:
-        """Membership after reduction to the fundamental domain."""
-        w, _ = domain.reduce_phase(v)
-        return bool(self.contains_chart(np.array([w.base.z]),
-                                        np.array([w.dir]))[0])
 
 
 @dataclass
@@ -181,28 +175,12 @@ def liouville_measure(domain: FundamentalDomain, box: PhaseBox,
 # ---------------------------------------------------------------------------
 # boundary-pair geodesics
 
-def _pair_geodesics(xi, eta):
-    """Closest-approach parameters of geodesics with endpoints (eta -> xi).
-
-    Returns (z_c, theta_c, d_c): closest point to the origin, direction there
-    (toward xi), and its hyperbolic distance from the origin.
-    """
-    m = xi + eta
-    deg = np.abs(m) < 1e-12
-    delta = np.where(deg, np.angle(xi) - 0.5 * math.pi, np.angle(m))
-    phi = np.angle(xi * np.exp(-1j * delta))          # signed half-gap
-    r_c = np.tan(0.25 * math.pi - 0.5 * np.abs(phi))
-    z_c = r_c * np.exp(1j * delta)
-    theta_c = delta + np.sign(phi) * 0.5 * math.pi
-    d_c = 2.0 * np.arctanh(np.minimum(r_c, 1.0 - 1e-15))
-    return z_c, theta_c, d_c
-
-
-def _trace_weighted_length(domain, box, xi, eta, weights,
+def _trace_weighted_length(domain, box, ca, cb, weights,
                            flow_t: float = 0.0):
     """Per-pair weight * len(box-lift intersect geodesic), as an array.
 
-    Each geodesic meets the convex domain F in one segment [s_lo, s_hi],
+    (ca, cb) are the pairs' carriers from `hg.pair_carrier_ab`.  Each
+    geodesic meets the convex domain F in one segment [s_lo, s_hi],
     which `FundamentalDomain.clip` gives in closed form.  The full-space
     calibration (box None) is then exact: weight * (s_hi - s_lo).  A box's
     lift lives inside F, so its length is `PhaseBox.chart_length` of the
@@ -215,8 +193,6 @@ def _trace_weighted_length(domain, box, xi, eta, weights,
     [s_lo - flow_t, s_hi - flow_t] into pieces, each carried into F, and the
     pair's length is the sum of its pieces' chart lengths.
     """
-    z_c, theta_c, _ = _pair_geodesics(xi, eta)
-    ca, cb = hg.carrier_ab(z_c, theta_c)
     s_lo, s_hi = domain.clip(ca, cb)
     if box is None:
         return weights * (s_hi - s_lo)
@@ -226,18 +202,17 @@ def _trace_weighted_length(domain, box, xi, eta, weights,
     owner, a, b, length = domain.tile_segments(ca, cb, s_lo - flow_t,
                                                s_hi - flow_t)
     per_pair = np.bincount(owner, weights=box.chart_length(a, b, length),
-                           minlength=len(xi))
+                           minlength=len(ca))
     return weights * per_pair
 
 
-def _pair_weights(p, xi, eta, h):
+def _pair_weights(p, ca, cb, xi, eta, h):
     """Definition-4.1 weights e^{-h (b(p,q,xi) + b(p,q,eta))}.
 
-    q is the point of the (eta, xi)-geodesic nearest to p; the integrand is
-    independent of the choice of q along the geodesic.
+    q is the point of the (eta, xi)-geodesic, carried by (ca, cb), nearest
+    to p; the integrand is independent of the choice of q along the
+    geodesic.
     """
-    z_c, theta_c, _ = _pair_geodesics(xi, eta)
-    ca, cb = hg.carrier_ab(z_c, theta_c)
     s_foot, _ = hg.geodesic_foot_z(ca, cb, np.full(xi.shape, p.z))
     q = hg.mobius_apply_z(ca, cb, np.tanh(0.5 * s_foot).astype(complex))
     pz = np.full(xi.shape, p.z)
@@ -309,8 +284,9 @@ def knieper_normalization(surface: fu.SurfaceModel, domain: FundamentalDomain,
     rng = np.random.default_rng(seed)
     h = surface.entropy_h
     xi, eta, _ = _sample_pairs(density, rng, n_samples)
-    w = _pair_weights(density.basepoint, xi, eta, h)
-    vals = _trace_weighted_length(domain, None, xi, eta, w)
+    ca, cb = hg.pair_carrier_ab(xi, eta)
+    w = _pair_weights(density.basepoint, ca, cb, xi, eta, h)
+    vals = _trace_weighted_length(domain, None, ca, cb, w)
     z = float(vals.mean())
     if z <= 0:
         raise DegenerateMeasureError("normalization estimate vanished")
@@ -344,8 +320,9 @@ def knieper_measure(surface: fu.SurfaceModel, domain: FundamentalDomain,
         m = min(chunk, n_samples - done)
         xi, eta, disc = _sample_pairs(density, rng, m)
         discarded += disc
-        w = _pair_weights(density.basepoint, xi, eta, h)
-        vals = _trace_weighted_length(domain, box, xi, eta, w, flow_t)
+        ca, cb = hg.pair_carrier_ab(xi, eta)
+        w = _pair_weights(density.basepoint, ca, cb, xi, eta, h)
+        vals = _trace_weighted_length(domain, box, ca, cb, w, flow_t)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += m

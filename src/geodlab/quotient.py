@@ -3,13 +3,17 @@
 The fundamental domain F is the Dirichlet domain centered at the disk
 origin: points at least as close to the origin as to any orbit translate.
 It is a convex polygon cut out by its sides, so a geodesic meets it in one
-segment, which `FundamentalDomain.clip` gives in closed form.
+segment, which `FundamentalDomain.clip` gives in closed form.  Geodesics
+come as carriers (a, b), the isometries taking the real diameter onto them;
+a boundary pair (xi, eta) gets its carrier from `hypgeom.pair_carrier_ab`.
+Membership and reduction share one division-free bisector test: the excess
+e of each Dirichlet neighbour over the origin, in blocks of points.
 Reduction is greedy descent over the side-pairing generators, certified
-against the enumerated test-set ball: one batched, division-free screen
-over every test element clears the usual case, and the exact sequential
-pass over the test set runs only when the screen flags a point.  Along a
-geodesic, `FundamentalDomain.tile_segments` reduces one point per translate
-of F and splits the geodesic into exact pieces, each carried into F.
+against the enumerated test-set ball: the bisector test over every test
+element clears the usual case, and the exact sequential pass over the test
+set runs only when it flags a point.  Along a geodesic,
+`FundamentalDomain.tile_segments` reduces one point per translate of F and
+splits the geodesic into exact pieces, each carried into F.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ TILE_PROBE = 1e-6       # arclength past a piece start that picks its tile
 SIDE_EDGE_TOL = 1e-9    # Klein-model edge length below which a bisector
                         # only touches F at a vertex
 SCREEN_MARGIN = 1e-9    # distance slack of the test-set screen, far above
-                        # the rounding of either distance test
-SCREEN_BLOCK = 256      # points per block of the (points x test set) screen
+                        # the rounding of the excess and distance tests
 MEMBER_MARGIN = 1e-6    # distance margin of the membership screen
-MEMBER_BLOCK = 4096     # points per block of the membership screen
+MEMBER_BLOCK = 4096     # points per block of the bisector test
 
 
 class FundamentalDomain:
@@ -75,21 +78,16 @@ class FundamentalDomain:
 
         dist(gamma z, o) >= dist(z, o) - tol for every side element, whose
         half-planes cut out F (or for the whole test set when full=True,
-        the reference the sides are checked against).  A screen decides
-        almost every point: with u = 1 + |z|^2, e = 2 Re(z conj q) - c u is
-        (1 - |z|^2) (cosh d(z, o) - cosh d(gamma z, o)), and as sinh <= cosh,
-        e < -2 m u for every element puts z inside, e > (tol + m) u for one
-        outside, each by a distance margin m = MEMBER_MARGIN.  The distance
-        test decides the rest and points with 1 - |z|^2 < m, so the result
-        is always the distance test's.
+        the reference the sides are checked against).  A screen on the
+        largest bisector excess e of `_bisector_excess` decides almost every
+        point: as sinh <= cosh, e < -2 m u for every element puts z inside,
+        e > (tol + m) u for one outside, each by a distance margin
+        m = MEMBER_MARGIN.  The distance test decides the rest and points
+        with 1 - |z|^2 < m, so the result is always the distance test's.
         """
-        z = np.ascontiguousarray(np.atleast_1d(np.asarray(z, complex)))
-        rows, zv = self._member_rows[full], z.view(float).reshape(-1, 2)
+        z = np.atleast_1d(np.asarray(z, complex))
         ok, unsure = np.empty((2, len(z)), dtype=bool)
-        for k in range(0, len(z), MEMBER_BLOCK):
-            zk, blk = zv[k:k + MEMBER_BLOCK], slice(k, k + MEMBER_BLOCK)
-            u = 1.0 + np.einsum("ij,ij->i", zk, zk)
-            worst = (rows[:, :2] @ zk.T - rows[:, 2:] * u).max(axis=0)
+        for blk, worst, u in self._bisector_excess(z, full):
             ok[blk] = worst < -2.0 * MEMBER_MARGIN * u
             unsure[blk] = ~((ok[blk] | (worst > (tol + MEMBER_MARGIN) * u))
                             & (u < 2.0 - MEMBER_MARGIN))
@@ -103,6 +101,21 @@ class FundamentalDomain:
             exact &= hg.dist_z(w, 0j) >= d0 - tol
         ok[unsure] = exact
         return ok
+
+    def _bisector_excess(self, z, full):
+        """Per block of MEMBER_BLOCK points of z: (slice, max e, u).
+
+        u = 1 + |z|^2, and e = 2 Re(z conj q) - c u is the excess of one
+        element gamma, (1 - |z|^2) (cosh d(z, o) - cosh d(gamma z, o)),
+        maximized over the sides (or the whole test set when full=True).
+        """
+        rows = self._member_rows[full]
+        zv = np.ascontiguousarray(z).view(float).reshape(-1, 2)
+        for k in range(0, len(z), MEMBER_BLOCK):
+            zk = zv[k:k + MEMBER_BLOCK]
+            u = 1.0 + np.einsum("ij,ij->i", zk, zk)
+            yield (slice(k, k + MEMBER_BLOCK),
+                   (rows[:, :2] @ zk.T - rows[:, 2:] * u).max(axis=0), u)
 
     def clip(self, ca, cb):
         """Exact F-segment of each carried geodesic: (s_lo, s_hi) arrays.
@@ -175,9 +188,6 @@ class FundamentalDomain:
             go = left > 0
             owner, ca, cb, left = owner[go], ca[go], cb[go], left[go]
         return tuple(np.concatenate(col) for col in zip(*pieces))
-
-    def contains(self, p: hg.DiskPoint, tol=MEMBERSHIP_TOL) -> bool:
-        return bool(self.contains_z(np.array([p.z]), tol)[0])
 
     def quotient_dist_z(self, z1, z2):
         """Elementwise quotient distance between points of F.
@@ -257,21 +267,19 @@ class FundamentalDomain:
     def _screen(self, z, d0) -> bool:
         """Whether some test element may bring a point of z closer to o.
 
-        g z lies within L of o iff
-            |a z + b|^2 < tanh^2(L/2) |conj(b) z + conj(a)|^2,
-        a test with no division or arccosh.  L is the descent threshold plus
-        SCREEN_MARGIN, so the screen flags every point the exact pass would
-        move.  Blocks of SCREEN_BLOCK points bound the (points x test set)
-        arrays.
+        With e and u from `_bisector_excess`, g z lies within L of o iff
+        e > u - cosh(L) (1 - |z|^2), a test with no division or arccosh.
+        L is the descent threshold plus SCREEN_MARGIN, so the screen flags
+        every point the exact pass would move.  Such a point is a fixed
+        point of the generator descent, so it lies in F, on its boundary:
+        there 1 - |z|^2 >= 0.29 and d0 is at least the inradius 1.529, so
+        SCREEN_MARGIN is worth at least (1 - |z|^2) sinh(d0) SCREEN_MARGIN
+        >= 6e-10 in units of e.  The rounding of e stays below about 1e-13,
+        as c and |q| are at most cosh 5.1 over the test set.
         """
         lim = d0 * (1.0 - DESCENT_EPS) - 1e-15 + SCREEN_MARGIN
-        t2 = np.tanh(0.5 * lim) ** 2
-        for k in range(0, len(z), SCREEN_BLOCK):
-            zk = z[k:k + SCREEN_BLOCK, None]
-            num = np.abs(self.test_a * zk + self.test_b) ** 2
-            den = np.abs(np.conj(self.test_b) * zk
-                         + np.conj(self.test_a)) ** 2
-            if (num < t2[k:k + SCREEN_BLOCK, None] * den).any():
+        for blk, worst, u in self._bisector_excess(z, True):
+            if (worst > u - np.cosh(lim[blk]) * (2.0 - u)).any():
                 return True
         return False
 

@@ -67,7 +67,7 @@ class TestConfig:
         assert run(["spectrum", "--config", out / "absent.cfg",
                     "--out", out, "--cache-dir", cache]) == cli.EXIT_CONFIG
 
-    def test_invalid_values_rejected(self, workdir):
+    def test_invalid_values_rejected(self, workdir, capsys):
         out, cache = workdir
         assert run(["spectrum", "--radius", "-1", "--out", out,
                     "--cache-dir", cache]) == cli.EXIT_CONFIG
@@ -86,6 +86,20 @@ class TestConfig:
                     "--cache-dir", cache]) == cli.EXIT_CONFIG
         assert run(["spectrum", "--surface", "foo", "--out", out,
                     "--cache-dir", cache]) == cli.EXIT_CONFIG
+        # non-finite and non-numeric values, from a flag or from the file
+        assert run(["spectrum", "--radius", "nan", "--out", out,
+                    "--cache-dir", cache]) == cli.EXIT_CONFIG
+        assert run(["count", "--radius", "6.5", "--t", "5.0", "--epsilon",
+                    "nan", "--out", out,
+                    "--cache-dir", cache]) == cli.EXIT_CONFIG
+        for cmd, line in (("spectrum", "radius = abc"),
+                          ("spectrum", "samples = 1e5"),
+                          ("cube", "box = 0,0,0,nan,0.5")):
+            cfgf.write_text(f"radius = 6.5\nt = 6.0\n{line}\n")
+            assert run([cmd, "--config", cfgf, "--out", out,
+                        "--cache-dir", cache]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[-1])["error"] == "config"
 
     @pytest.mark.parametrize("cmd", ["cube", "mme"])
     @pytest.mark.parametrize("box", ["0,0,0,-1,0.5", "0,0,0,0.3,4"],

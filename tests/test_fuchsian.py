@@ -61,7 +61,7 @@ class TestSurfaceModel:
         for l in range(8):
             g = bolza.generator(l)
             assert abs(abs(g.trace) - 2 * (1 + math.sqrt(2))) < 1e-12
-            assert abs(hg.trace_class(g).translation_length - ELL) < 1e-9
+            assert abs(fu.trace_length(g.trace) - ELL) < 1e-9
 
     def test_letter_inverses(self, bolza):
         for l in range(0, 8, 2):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from geodlab import hypgeom as hg
+from geodlab.fuchsian import trace_length
 from geodlab.hypgeom import (
     BoundaryPoint, DiskPoint, Isometry, PhasePoint, ORIGIN,
-    apply, apply_phase, busemann, dist, endpoints, flow, trace_class,
-    translation_ab,
+    apply, apply_phase, busemann, dist, endpoints, flow, translation_ab,
 )
 
 
@@ -176,18 +176,13 @@ class TestFlow:
 
 
 class TestTraceClass:
-    def test_identity(self):
-        assert trace_class(Isometry.identity()).kind == "identity"
-
     def test_bolza_generator_length(self):
         a = 1 + math.sqrt(2)
         b = math.sqrt(2 + 2 * math.sqrt(2))
         g = Isometry(a + 0j, b + 0j)
-        tc = trace_class(g)
-        assert tc.kind == "hyperbolic"
         assert abs(g.trace - 2 * (1 + math.sqrt(2))) < 1e-12
         ell = 2 * math.acosh(1 + math.sqrt(2))
-        assert abs(tc.translation_length - ell) < 1e-12
+        assert abs(trace_length(g.trace) - ell) < 1e-12
         # cross-check: displacement of the axis midpoint (origin is on the axis)
         assert abs(dist(ORIGIN, apply(g, ORIGIN)) - ell) < 1e-9
 
@@ -198,11 +193,11 @@ class TestTraceClass:
         b = math.sqrt(2 + 2 * math.sqrt(2))
         h = random_isometry(r)
         g = h @ Isometry(a + 0j, b + 0j) @ h.inverse()
-        base = trace_class(g).translation_length
+        base = trace_length(g.trace)
         gk = g
         for k in range(2, 6):
             gk = gk @ g
-            assert abs(trace_class(gk).translation_length - k * base) < 1e-9
+            assert abs(trace_length(gk.trace) - k * base) < 1e-9
 
     def test_axis_endpoints_fixed(self):
         r = rng()
@@ -211,17 +206,13 @@ class TestTraceClass:
             a = 1 + math.sqrt(2)
             b = math.sqrt(2 + 2 * math.sqrt(2))
             g = h @ Isometry(a + 0j, b + 0j) @ h.inverse()
-            tc = trace_class(g)
-            att, rep = tc.axis_endpoints
+            att, rep = hg.axis_endpoints_ab(g.a, g.b)
             for u in (att, rep):
-                im = hg.mobius_boundary_z(g.a, g.b, u.u)
-                assert abs(im - u.u) < 1e-9
+                im = hg.mobius_boundary_z(g.a, g.b, u)
+                assert abs(im - u) < 1e-9
             # attracting endpoint pulls far iterates toward itself
             p = apply(g @ g @ g, ORIGIN)
-            assert abs(p.z / abs(p.z) - att.u) < 0.05
-
-    def test_elliptic(self):
-        assert trace_class(Isometry.rotation(1.0)).kind == "elliptic"
+            assert abs(p.z / abs(p.z) - att) < 0.05
 
 
 class TestPhasePoint:

@@ -144,19 +144,6 @@ class TestRiccati:
         assert abs(vert.gap) <= ja.GAP_TOL
         assert cross.gap > ja.GAP_TOL
 
-    def test_unstable_jacobi_nondecreasing(self):
-        for name in ("flat", "strictly_negative", "constant_m1"):
-            s, j = ja.unstable_jacobi(ja.load_metric(name),
-                                      ja.GeodesicState(0.2, 0.1, 0.9),
-                                      T=10.0)
-            assert j[0] == 1.0
-            assert (np.diff(j) >= -1e-12).all()
-
-    def test_constant_m1_jacobi_is_exponential(self):
-        s, j = ja.unstable_jacobi(ja.load_metric("constant_m1"),
-                                  ja.GeodesicState(0.05, 0.0, 0.3), T=8.0)
-        assert abs(math.log(j[-1]) - s[-1]) < 1e-3
-
     def test_blowup_guard(self):
         # positive curvature makes the Riccati solution blow up in finite
         # time; the guard must catch it rather than overflow
@@ -171,7 +158,6 @@ class TestHorizon:
         s0 = ja.GeodesicState(0.1, 0.05, 0.3)
         for call in (lambda: ja.rank_classify(m, s0, T),
                      lambda: ja.riccati_subspaces(m, s0, T),
-                     lambda: ja.unstable_jacobi(m, s0, T),
                      lambda: ja.rank_suite("strictly_negative", 3, seed=0,
                                            T=T)):
             with pytest.raises(InvalidConfigurationError):

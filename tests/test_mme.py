@@ -72,9 +72,12 @@ class TestPhaseBox:
     def test_contains_reduces_first(self, bolza, domain):
         b = mme.PhaseBox(hg.PhasePoint(hg.ORIGIN, 0.0), 0.4, 3.0)
         v = hg.PhasePoint(hg.DiskPoint(0.05 + 0.02j), 0.1)
-        g = bolza.generator(1)
-        assert b.contains(v, domain)
-        assert b.contains(hg.apply_phase(g, v), domain)
+        gv = hg.apply_phase(bolza.generator(1), v)
+        z, th = domain.reduce_phase_z(np.array([v.base.z, gv.base.z]),
+                                      np.array([v.dir, gv.dir]))
+        assert not b.contains_chart(np.array([gv.base.z]),
+                                    np.array([gv.dir]))[0]
+        assert b.contains_chart(z, th).all()
 
     def test_random_box_ball_inside_domain(self, domain):
         rng = np.random.default_rng(42)
@@ -123,18 +126,19 @@ class TestPairGeodesics:
         b = rng.uniform(0, 2 * math.pi, 50)
         keep = np.abs(np.angle(np.exp(1j * (a - b)))) > 1e-3
         xi, eta = np.exp(1j * a[keep]), np.exp(1j * b[keep])
-        z_c, th_c, d_c = mme._pair_geodesics(xi, eta)
-        for k in range(len(xi)):
-            v = hg.PhasePoint(hg.DiskPoint(complex(z_c[k])), float(th_c[k]))
-            fw, bw = hg.endpoints(v)
-            assert abs(fw.u - xi[k]) < 1e-9
-            assert abs(bw.u - eta[k]) < 1e-9
-        assert np.abs(d_c - hg.dist_z(z_c, 0j)).max() < 1e-12
+        ca, cb = hg.pair_carrier_ab(xi, eta)
+        # +-1 map to xi and eta, and the base point is the foot of o
+        assert np.abs(hg.mobius_boundary_z(ca, cb, 1.0 + 0j) - xi).max() < 1e-9
+        assert np.abs(hg.mobius_boundary_z(ca, cb, -1.0 + 0j) - eta).max() < 1e-9
+        s_foot, d = hg.geodesic_foot_z(ca, cb, np.zeros(len(xi), complex))
+        assert np.abs(s_foot).max() < 1e-9
+        assert np.abs(d - hg.dist_z(cb / np.conj(ca), 0j)).max() < 1e-12
 
     def test_diametral_pair_through_origin(self):
         xi = np.array([np.exp(0.7j)])
-        z_c, th_c, d_c = mme._pair_geodesics(xi, -xi)
-        assert abs(z_c[0]) < 1e-12 and d_c[0] < 1e-12
+        ca, cb = hg.pair_carrier_ab(xi, -xi)
+        assert abs(cb[0]) < 1e-12
+        assert abs(hg.mobius_boundary_z(ca, cb, 1.0 + 0j)[0] - xi[0]) < 1e-12
 
     def test_weights_gromov_product(self):
         # at the origin basepoint the weight is exactly 1 / sin^2(gap / 2)
@@ -143,15 +147,15 @@ class TestPairGeodesics:
         b = rng.uniform(0, 2 * math.pi, 40)
         keep = np.abs(np.angle(np.exp(1j * (a - b)))) > 1e-2
         xi, eta = np.exp(1j * a[keep]), np.exp(1j * b[keep])
-        w = mme._pair_weights(hg.ORIGIN, xi, eta, 1.0)
+        w = mme._pair_weights(hg.ORIGIN, *hg.pair_carrier_ab(xi, eta),
+                              xi, eta, 1.0)
         gap = np.abs(np.angle(xi / eta))
         assert np.abs(w * np.sin(gap / 2) ** 2 - 1.0).max() < 1e-9
 
     def test_weight_independent_of_foot_choice(self):
         # the Busemann sum is constant along the connecting geodesic
         xi, eta = np.exp(0.4j), np.exp(2.9j)
-        z_c, th_c, _ = mme._pair_geodesics(np.array([xi]), np.array([eta]))
-        ca, cb = hg.carrier_ab(z_c, th_c)
+        ca, cb = hg.pair_carrier_ab(np.array([xi]), np.array([eta]))
         p = np.array([0.2 + 0.1j])
         sums = []
         for s in (0.0, 0.7, -1.3):
@@ -222,11 +226,10 @@ class TestExactLength:
     def test_lengths_match_a_march(self, bolza, domain, shell_density):
         rng = np.random.default_rng(37)
         xi, eta, _ = mme._sample_pairs(shell_density, rng, 2000)
-        exact = mme._trace_weighted_length(domain, None, xi, eta,
+        ca, cb = hg.pair_carrier_ab(xi, eta)
+        exact = mme._trace_weighted_length(domain, None, ca, cb,
                                            np.ones(len(xi)))
         # midpoint march over the circumscribed disk's chord, full test set
-        z_c, th_c, _ = mme._pair_geodesics(xi, eta)
-        ca, cb = hg.carrier_ab(z_c, th_c)
         step = 0.01
         n = int(2.0 * bolza.domain_radius / step) + 2
         s = (np.arange(-n, n) + 0.5) * step
@@ -251,8 +254,9 @@ class TestExactLength:
             eta.append(bw.u)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ell = mme._trace_weighted_length(domain, None, np.array(xi),
-                                             np.array(eta), np.ones(len(xi)))
+            ell = mme._trace_weighted_length(
+                domain, None, *hg.pair_carrier_ab(np.array(xi), np.array(eta)),
+                np.ones(len(xi)))
         assert np.isfinite(ell).all() and (ell >= 0).all()
         assert abs(ell[0] - 2.0 * r) < 1e-9
 
@@ -263,8 +267,8 @@ class TestExactLength:
         eta = np.full(len(gap), np.exp(1j))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ell = mme._trace_weighted_length(domain, None, xi, eta,
-                                             np.ones(len(gap)))
+            ell = mme._trace_weighted_length(
+                domain, None, *hg.pair_carrier_ab(xi, eta), np.ones(len(gap)))
         assert (ell[:3] == 0.0).all() and ell[3] > 0
 
 
@@ -338,13 +342,13 @@ class TestKnieperMeasure:
                                                 float(theta)))
             xi = np.append(xi, fw.u)
             eta = np.append(eta, bw.u)
-        w = mme._pair_weights(shell_density.basepoint, xi, eta,
+        ca, cb = hg.pair_carrier_ab(xi, eta)
+        w = mme._pair_weights(shell_density.basepoint, ca, cb, xi, eta,
                               bolza.entropy_h)
         # the corner box straddles F, so a midpoint counts only in F's chart
         boxes = (box, mme.PhaseBox(box.center, 0.8, 1.5),
                  mme.PhaseBox(hg.PhasePoint(hg.DiskPoint(vertex), 0.3),
                               0.5, 1.0))
-        ca, cb = hg.carrier_ab(*mme._pair_geodesics(xi, eta)[:2])
         start, end = domain.clip(ca, cb)
         idx = np.nonzero(end > start)[0]
         length = end[idx] - start[idx]
@@ -354,13 +358,13 @@ class TestKnieperMeasure:
         k = np.arange(ns.sum()) - np.repeat(np.cumsum(ns) - ns, ns)
         s = np.repeat(start[idx], ns) + (k + 0.5) * ds
         same = pair_of[1:] == pair_of[:-1]
-        ca, cb = np.repeat(ca[idx], ns), np.repeat(cb[idx], ns)
+        ra, rb = np.repeat(ca[idx], ns), np.repeat(cb[idx], ns)
         hits = np.zeros(len(xi), dtype=int)
         # +-2r carries the tangent lines' midpoints onto vertices
         for flow_t in (0.0, 0.3, 1.0, 2.5, -1.7, 2.0 * r, -2.0 * r):
             pb = np.tanh(0.5 * (s - flow_t)) + 0j
-            zr, tr = domain.reduce_phase_z(hg.mobius_apply_z(ca, cb, pb),
-                                           hg.mobius_dir_z(ca, cb, pb, 0.0))
+            zr, tr = domain.reduce_phase_z(hg.mobius_apply_z(ra, rb, pb),
+                                           hg.mobius_dir_z(ra, rb, pb, 0.0))
             for bx in boxes:
                 inside = bx.contains_chart(zr, tr)
                 ref = np.bincount(pair_of, weights=np.where(inside, ds, 0.0),
@@ -369,7 +373,7 @@ class TestKnieperMeasure:
                                        weights=same & (inside[1:]
                                                        != inside[:-1]),
                                        minlength=len(idx))
-                got = mme._trace_weighted_length(domain, bx, xi, eta, w,
+                got = mme._trace_weighted_length(domain, bx, ca, cb, w,
                                                  flow_t)
                 assert (got[np.setdiff1d(np.arange(len(xi)), idx)] == 0).all()
                 assert (np.abs(got[idx] / w[idx] - ref)
@@ -383,6 +387,22 @@ class TestKnieperMeasure:
         z2 = mme.knieper_normalization(bolza, domain, shell_density,
                                        n_samples=60_000, seed=0)
         assert z1 == z2
+
+    def test_one_carrier_per_pair(self, bolza, domain, shell_density, box,
+                                  monkeypatch):
+        # the weights and the lengths share one carrier per sampled pair
+        kw = dict(n_samples=20_000, seed=5, norm_samples=60_000, norm_seed=0)
+        mme.knieper_measure(bolza, domain, box, shell_density, **kw)
+        calls = []
+        carrier_ab = hg.carrier_ab
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return carrier_ab(*args)
+
+        monkeypatch.setattr(hg, "carrier_ab", counted)
+        mme.knieper_measure(bolza, domain, box, shell_density, **kw)
+        assert calls == [kw["n_samples"]]
 
 
 class TestConditionals:
@@ -423,9 +443,9 @@ class TestHolonomy:
         # a phase point sharing the backward endpoint of v
         _, v_minf = hg.endpoints(v)
         xi2 = np.exp(1j * forward_angle)
-        z_c, th_c, _ = mme._pair_geodesics(np.array([xi2]),
-                                           np.array([v_minf.u]))
-        return hg.PhasePoint(hg.DiskPoint(complex(z_c[0])), float(th_c[0]))
+        ca, cb = hg.pair_carrier_ab(np.array([xi2]), np.array([v_minf.u]))
+        return hg.apply_phase(hg.Isometry(complex(ca[0]), complex(cb[0])),
+                              hg.PhasePoint(hg.ORIGIN, 0.0))
 
     def test_asymptotic_partner_invariants(self):
         w = hg.PhasePoint(hg.DiskPoint(0.3 + 0.1j), 0.5)

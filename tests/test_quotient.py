@@ -6,7 +6,7 @@ import pytest
 from geodlab import fuchsian as fu
 from geodlab import hypgeom as hg
 from geodlab import mme
-from geodlab.quotient import DESCENT_EPS, SCREEN_BLOCK, FundamentalDomain
+from geodlab.quotient import DESCENT_EPS, MEMBER_BLOCK, FundamentalDomain
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +68,12 @@ def random_disk_points(rng, n, r_max=0.95):
 
 class TestMembership:
     def test_origin_inside(self, domain):
-        assert domain.contains(hg.ORIGIN)
+        assert domain.contains_z(hg.ORIGIN.z)[0]
 
     def test_translate_of_origin_outside(self, bolza, domain):
         g = bolza.generator(0)
         img = hg.apply(g, hg.ORIGIN)
-        assert not domain.contains(img, tol=1e-12)
+        assert not domain.contains_z(img.z, tol=1e-12)[0]
 
     def test_inradius_ball_inside(self, bolza, domain):
         # the inscribed ball (radius = half the systole) lies inside F
@@ -230,7 +230,7 @@ class TestReducePhase:
         w2 = hg.apply_phase(g, v)
         assert abs(w.base.z - w2.base.z) < 1e-12
         assert hg.angle_gap(w.dir, w2.dir) < 1e-12
-        assert domain.contains(w.base)
+        assert domain.contains_z(w.base.z)[0]
 
     def test_direction_transforms_isometrically(self, domain):
         # flowing then reducing lands on the reduced flowed point
@@ -315,7 +315,7 @@ class TestScreenedCertification:
     def test_input_longer_than_one_block(self, bolza, domain, ref_domain):
         # the only points the test-set pass moves sit past the first blocks
         rng = np.random.default_rng(53)
-        inner = math.tanh(0.6) * random_disk_points(rng, 3 * SCREEN_BLOCK + 17,
+        inner = math.tanh(0.6) * random_disk_points(rng, 3 * MEMBER_BLOCK + 17,
                                                     r_max=1.0)
         z = np.concatenate([inner, vertex_points(bolza, self.PAST_VERTEX)])
         ref_domain.moved_points = 0
@@ -335,7 +335,7 @@ class TestScreenedCertification:
                                  angle_halfwidth=1.5) for _ in range(2)]
         boxes.append(mme.PhaseBox(hg.PhasePoint(hg.DiskPoint(vertex), 0.3),
                                   0.5, 1.0))
-        ca, cb = hg.carrier_ab(*mme._pair_geodesics(xi, eta)[:2])
+        ca, cb = hg.pair_carrier_ab(xi, eta)
         s_lo, s_hi = domain.clip(ca, cb)
         for flow_t in (0.3, 1.0, 2.5, -1.7):
             got = domain.tile_segments(ca, cb, s_lo - flow_t, s_hi - flow_t)
@@ -345,7 +345,7 @@ class TestScreenedCertification:
                 assert np.array_equal(g, r)
             for bx in boxes:
                 assert np.array_equal(
-                    mme._trace_weighted_length(domain, bx, xi, eta, w,
+                    mme._trace_weighted_length(domain, bx, ca, cb, w,
                                                flow_t),
-                    mme._trace_weighted_length(ref_domain, bx, xi, eta, w,
+                    mme._trace_weighted_length(ref_domain, bx, ca, cb, w,
                                                flow_t))
