@@ -18,7 +18,7 @@ the stored elements under conjugation by single generators, cross-validated
 against an independent cyclic-word canonicalization on small lengths.  That
 canonicalization searches relator substitutions through one move table per
 relator, (k, u, inverse(v)) for every rotation u v, matched with
-``bytes.find``.  The table is columnar; each class's axis is that of the
+``bytes.find``; a build searches each distinct start word once.  The table is columnar; each class's axis is that of the
 rotation of its canonical word of least exact displacement, multiplied out
 in one batch, so a built table and its reload agree bit for bit.
 """
@@ -134,7 +134,17 @@ def least_displacement(rows, group):
 
 
 def _row_hash(rows):
-    return rows.astype(np.int64) @ _HASH     # wraps modulo 2^64
+    return rows.astype(np.int64, copy=False) @ _HASH     # wraps modulo 2^64
+
+
+def ordered_searchsorted(a, v, side="left"):
+    """``np.searchsorted(a, v, side)``, probed in ascending order of v: the
+    same positions, but the binary searches walk ``a`` in order instead of
+    at random."""
+    o = np.argsort(v)
+    out = np.empty(len(v), dtype=np.intp)
+    out[o] = np.searchsorted(a, v[o], side=side)
+    return out
 
 
 def _first_copies(rows, h):
@@ -165,7 +175,7 @@ class _RowIndex:
     def find(self, q, h=None):
         """Stored position of each row of q, or -1."""
         h = _row_hash(q) if h is None else h
-        at = np.searchsorted(self.hash, h)
+        at = ordered_searchsorted(self.hash, h)
         out = np.full(len(q), -1, dtype=np.int64)
         todo = np.arange(len(q))
         while len(todo):
@@ -299,12 +309,20 @@ def inverse_word(word):
     return tuple(l ^ 1 for l in reversed(word))
 
 
+# byte translation tables: letter index <-> its name, 0xff for anything else
+_NAME_OF = bytes(LETTER_NAMES, "ascii").ljust(256, b"\xff")
+_LETTER_OF = bytes(LETTER_NAMES.find(chr(c)) % 256 for c in range(256))
+
+
 def word_to_str(word):
-    return "".join(LETTER_NAMES[l] for l in word)
+    return bytes(word).translate(_NAME_OF).decode("ascii")
 
 
 def str_to_word(s):
-    return tuple(LETTER_NAMES.index(c) for c in s)
+    word = s.encode("ascii", "replace").translate(_LETTER_OF)
+    if 0xff in word:
+        raise ValueError(f"unknown letter in {s!r}")
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +589,12 @@ def _substitution_moves(word, relator, max_len):
     return out
 
 
+def _start_word(word, surface):
+    """Least rotation of the Dehn-cyclic-reduced word, where the search of
+    ``canonical_class`` starts; its result depends on nothing else."""
+    return _min_rotation(dehn_cyclic_reduce(tuple(word), surface))
+
+
 def canonical_class(word, surface, *, slack=2, max_states=200_000):
     """Canonical cyclic word of the conjugacy class of ``word``.
 
@@ -583,7 +607,11 @@ def canonical_class(word, surface, *, slack=2, max_states=200_000):
     shortest words found.  Idempotent and conjugation invariant on
     desk-scale words; validated against the axis pipeline.
     """
-    w0 = _min_rotation(dehn_cyclic_reduce(tuple(word), surface))
+    return _class_search(_start_word(word, surface), surface, slack, max_states)
+
+
+def _class_search(w0, surface, slack=2, max_states=200_000):
+    """The search of ``canonical_class`` from its start word w0."""
     if not w0:
         raise CanonicalizationError("trivial word has no conjugacy class")
     best_len = len(w0)
@@ -609,7 +637,43 @@ def canonical_class(word, surface, *, slack=2, max_states=200_000):
 # ---------------------------------------------------------------------------
 # conjugacy classes: components of the conjugation graph on the stored ball
 
-def conjugacy_classes(surface, ball: Ball, max_length):
+def _canonical_of(surface, ball, i, memo):
+    """``canonical_class`` of stored element i's word, searched once per
+    start word w0: ``memo`` maps each w0 to its result."""
+    w0 = _start_word(ball.word_of(i), surface)
+    if w0 not in memo:
+        memo[w0] = _class_search(w0, surface)
+    return memo[w0]
+
+
+def _conjugation_graph(surface, ball, max_length):
+    """(node, dst): the ball positions of the stored hyperbolic elements of
+    length <= max_length, and dst[i, l], the node of g_l M g_l^-1 for node
+    i = M, or i where that conjugate is not stored.
+
+    Only the even letters are looked up: conjugation by l^-1 undoes l, so
+    column l^1 is column l's found edges reversed.
+    """
+    length = trace_length(ring_trace(ball.rows))
+    node = np.nonzero((length > 0.0) & (length <= max_length))[0]
+    del length                  # 8 B per stored row, not needed below
+    ids = np.arange(len(node))
+    at = np.full(len(ball.rows), -1, dtype=np.int64)
+    at[node] = ids
+    dst = np.empty((len(node), surface.n_letters), dtype=np.int64)
+    conj = _conjugation_matrices(surface.ring)
+    for l in range(0, surface.n_letters, 2):
+        # a stored conjugate has the same trace, so it is a node too
+        j = ball.find(ball.rows[node] @ conj[l])
+        hit = j >= 0
+        src, tgt = ids[hit], at[j[hit]]
+        dst[:, l] = dst[:, l ^ 1] = ids
+        dst[src, l] = tgt
+        dst[tgt, l ^ 1] = src
+    return node, dst
+
+
+def conjugacy_classes(surface, ball: Ball, max_length, memo=None):
     """Group ball elements with translation length <= max_length into classes.
 
     The nodes are the stored hyperbolic elements of length <= max_length;
@@ -618,19 +682,13 @@ def conjugacy_classes(surface, ball: Ball, max_length):
     each connected component (with pointer jumping) until they settle.  A
     class is a component that meets ``ball.inside``; its representative is
     the inside member of least displacement, the first stored on ties.
+    ``memo`` holds the canonical words of one build (see ``_canonical_of``).
 
     Returns (words, class_of, reps): the canonical word of each class,
     the class index of each stored element (or -1), and the ball position
     of each class's representative.
     """
-    length = trace_length(ring_trace(ball.rows))
-    node = np.nonzero((length > 0.0) & (length <= max_length))[0]
-    at = np.full(len(ball.rows), -1, dtype=np.int64)
-    at[node] = np.arange(len(node))
-    dst = np.empty((len(node), surface.n_letters), dtype=np.int64)
-    for l, conj in enumerate(_conjugation_matrices(surface.ring)):
-        j = ball.find(ball.rows[node] @ conj)
-        dst[:, l] = np.where(j >= 0, at[j], np.arange(len(node)))
+    node, dst = _conjugation_graph(surface, ball, max_length)
     lab = np.arange(len(node))
     while True:
         nxt = np.minimum(lab, lab[dst].min(axis=1))
@@ -648,7 +706,8 @@ def conjugacy_classes(surface, ball: Ball, max_length):
 
     mem = node[inside]
     reps = mem[least_displacement(ball.rows[mem], cid)]
-    words = [canonical_class(ball.word_of(int(i)), surface) for i in reps]
+    memo = {} if memo is None else memo
+    words = [_canonical_of(surface, ball, int(i), memo) for i in reps]
     if len(set(words)) != len(words):
         raise SpectrumInconsistencyError("two conjugation components share a canonical word")
     return words, class_of, reps
@@ -841,13 +900,14 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
     """
     if ball is None:
         ball = enumerate_ball(surface, R + margin, c_prune=c_prune)
-    words, class_of, reps = conjugacy_classes(surface, ball, R)
+    memo = {}      # canonical words of this build, by start word
+    words, class_of, reps = conjugacy_classes(surface, ball, R, memo)
     primitive = _mark_iterates(ball, reps, class_of, R)
     tr = np.abs(ring_trace(ball.rows[reps]))
     ell = trace_length(tr)
     if cross_validate_to > 0:
         _cross_validate_words(surface, ball, ell, class_of,
-                              min(cross_validate_to, R))
+                              min(cross_validate_to, R), memo)
     rows = zip(words, tr.tolist(), ell.tolist(), primitive.tolist())
     table = SpectrumTable.from_rows(surface, R, rows, spectrum_meta(
         R, margin=margin, c_prune=c_prune))
@@ -855,15 +915,17 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
     return table
 
 
-def _cross_validate_words(surface, ball, lengths, class_of, up_to):
-    """Check the conjugation partition against canonical cyclic words."""
+def _cross_validate_words(surface, ball, lengths, class_of, up_to, memo):
+    """Check the conjugation partition against canonical cyclic words: each
+    element's own word is canonicalized, searched through the build's
+    ``memo`` (see ``_canonical_of``)."""
     by_word: dict[tuple, set[int]] = {}
     by_class: dict[int, set[int]] = {}
     for i in np.nonzero(ball.inside & (class_of >= 0))[0].tolist():
         cid = int(class_of[i])
         if lengths[cid] > up_to:
             continue
-        w = canonical_class(ball.word_of(i), surface)
+        w = _canonical_of(surface, ball, i, memo)
         by_word.setdefault(w, set()).add(i)
         by_class.setdefault(cid, set()).add(i)
     parts_word = {frozenset(v) for v in by_word.values()}

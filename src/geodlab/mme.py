@@ -259,8 +259,8 @@ def _sample_pairs(density, rng, n):
     discarded = 0
     while filled < n:
         todo = n - filled
-        i = cdf.searchsorted(rng.random(todo), side="right")
-        j = cdf.searchsorted(rng.random(todo), side="right")
+        i = fu.ordered_searchsorted(cdf, rng.random(todo), side="right")
+        j = fu.ordered_searchsorted(cdf, rng.random(todo), side="right")
         u, v = density.atom_u[i], density.atom_u[j]
         ok = np.abs(np.angle(u / v)) >= PAIR_EXCLUSION
         k = int(ok.sum())

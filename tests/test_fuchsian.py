@@ -123,6 +123,20 @@ class TestEnumerateBall:
         assert np.array_equal(weak.parent, exact.parent)
         assert len(fu.build_spectrum(bolza, 4.0, ball=weak).classes) == 24
 
+    def test_find_equals_a_dict_on_shuffled_queries(self, bolza, monkeypatch):
+        # sorted probes under a hash that collides all the time: shuffled
+        # queries with repeats and rows never stored find what a dict finds
+        monkeypatch.setattr(fu, "_HASH", np.array([1, 0, 0, 0, 0, 0, 0, 0]))
+        stored = fu.enumerate_ball(bolza, 5.0).rows
+        wider = fu.enumerate_ball(bolza, 6.0).rows
+        index = fu._RowIndex(stored)
+        rng = np.random.default_rng(3)
+        q = wider[rng.integers(0, len(wider), 3 * len(wider))]
+        ref = {tuple(r): i for i, r in enumerate(stored.tolist())}
+        want = [ref.get(tuple(r), -1) for r in q.tolist()]
+        assert -1 in want and len(set(want)) < len(want)
+        assert index.find(q).tolist() == want
+
     def test_growth_slope_near_entropy(self, bolza):
         ball = fu.enumerate_ball(bolza, 13.0)
         rs = np.arange(8.0, 13.0 + 1e-9)
@@ -310,6 +324,69 @@ class TestSpectrum:
     def test_word_vs_axis_partition_at_R10(self, spectrum10):
         assert len(spectrum10.classes) == 2588
 
+    def test_classes_equal_components_of_all_eight_conjugations(self, bolza):
+        # the class pass looks up four letters and reverses their edges for
+        # the other four; look up all eight here and label in plain Python
+        ball = fu.enumerate_ball(bolza, 8.0)
+        words, class_of, _ = fu.conjugacy_classes(bolza, ball, 6.0)
+        length = fu.trace_length(fu.ring_trace(ball.rows))
+        node = np.nonzero((length > 0.0) & (length <= 6.0))[0].tolist()
+        conj = fu._conjugation_matrices(bolza.ring)
+        found = [ball.find(ball.rows[node] @ c).tolist() for c in conj]
+        for l in range(0, 8, 2):
+            # conjugation by l^-1 undoes l: the odd column is the inverse
+            back = dict(zip(node, found[l ^ 1]))
+            assert all(back[j] == i for i, j in zip(node, found[l]) if j >= 0)
+            assert found[l].count(-1) == found[l ^ 1].count(-1)
+        edges = {i: set() for i in node}
+        for col in found:
+            for i, j in zip(node, col):
+                if j >= 0:
+                    edges[i].add(j)
+                    edges[j].add(i)
+        want = np.full(len(ball.rows), -1)
+        label, n_classes = {}, 0
+        for i in node:                        # ascending ball position
+            if i in label:
+                continue
+            comp, stack = [], [i]
+            label[i] = i
+            while stack:
+                k = stack.pop()
+                comp.append(k)
+                for m in edges[k] - label.keys():
+                    label[m] = i
+                    stack.append(m)
+            if ball.inside[comp].any():
+                want[comp] = n_classes
+                n_classes += 1
+        assert n_classes == len(words) == 96
+        assert np.array_equal(class_of, want)
+
+    def test_one_canonical_search_per_start_word_and_build(self, bolza,
+                                                         monkeypatch):
+        # a build canonicalizes every inside class member (all are below
+        # the cross-validation length here); the searches are one per
+        # distinct start word, and a second build searches them all again
+        ball = fu.enumerate_ball(bolza, 6.0 + fu.DEFAULT_SPECTRUM_MARGIN)
+        length = fu.trace_length(fu.ring_trace(ball.rows))
+        members = np.nonzero(ball.inside & (length > 0.0) & (length <= 6.0))[0]
+        starts = {fu._start_word(ball.word_of(int(i)), bolza) for i in members}
+        searched = []
+        search = fu._class_search
+
+        def counted(w0, surface, *args):
+            searched.append(w0)
+            return search(w0, surface, *args)
+
+        monkeypatch.setattr(fu, "_class_search", counted)
+        first = fu.build_spectrum(bolza, 6.0)
+        assert sorted(searched) == sorted(starts)
+        assert len(starts) < len(members)
+        searched.clear()
+        assert fu.build_spectrum(bolza, 6.0) == first
+        assert len(searched) == len(starts)
+
     @pytest.mark.parametrize("name", ["spectrum8", "spectrum10"])
     def test_iterates_match_primitive_lengths(self, name, request):
         # lengths-only oracle: each non-primitive class is p^k for exactly
@@ -457,10 +534,17 @@ class TestSpectrum:
         meta.write_text(json.dumps({"surface": "bolza", "cutoff": 3.0}))
         header = "canonical_word,trace_abs,length,primitive,multiplicity_group_id\n"
         for text in ("word,length\naB,3.0\n", header + "abc,3.0\n",
-                     header + "aZ,1,2,0,0\n", header + "aB,x,2,0,0\n"):
-            bad.write_text(text)
+                     header + "aZ,1,2,0,0\n", header + "aB,x,2,0,0\n",
+                     header + "aB,1,2,0,0\naé,1,2,0,0\n"):
+            bad.write_text(text, encoding="utf-8")
             with pytest.raises(SpectrumInconsistencyError):
                 fu.SpectrumTable.load(bad, meta)
+        # the line number of an unknown or non-ASCII letter is reported
+        with pytest.raises(SpectrumInconsistencyError, match="line 3"):
+            fu.SpectrumTable.load(bad, meta)
+        bad.write_text(header + "aZ,1,2,0,0\n")
+        with pytest.raises(SpectrumInconsistencyError, match="line 2"):
+            fu.SpectrumTable.load(bad, meta)
 
     def test_load_rejects_an_unknown_surface(self, spectrum6, tmp_path):
         csvp, jsonp = tmp_path / "spec.csv", tmp_path / "spec.json"
