@@ -9,6 +9,7 @@ carry no timestamps and all float formatting uses repr.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -199,19 +200,15 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, header, rows):
-    import csv as _csv
-
     with open(path, "w", newline="") as f:
-        w = _csv.writer(f)
+        w = csv.writer(f)
         w.writerow(header)
         for r in rows:
             w.writerow([repr(v) if isinstance(v, float) else v for v in r])
 
 
-def _default_box(domain, seed, position_radius=0.35, angle_halfwidth=0.5):
-    rng = np.random.default_rng(seed)
-    return mme.random_box(domain, rng, position_radius=position_radius,
-                          angle_halfwidth=angle_halfwidth)
+def _default_box(domain, seed):
+    return mme.random_box(domain, np.random.default_rng(seed))
 
 
 def _box_payload(box):
@@ -496,7 +493,8 @@ def make_parser():
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--surface")
     p.add_argument("--radius", type=float)
-    p.add_argument("--t", help="comma-separated t grid")
+    p.add_argument("--t", help="comma-separated t grid (cube uses only "
+                   "its largest t)")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)

@@ -73,14 +73,20 @@ def bin_centers(n_bins: int) -> np.ndarray:
     return np.arange(n_bins) * TWO_PI / n_bins
 
 
+def _orbit_weights(a, b, sel, z, s):
+    """(orbit, weights): the orbit points gamma o = b / conj(a) of the
+    selected elements (a, b) and their weights e^{-s d(z, gamma o)}."""
+    orbit = b[sel] / np.conj(a[sel])
+    return orbit, np.exp(-s * hg.dist_z(z, orbit))
+
+
 def poincare_series(surface: fu.SurfaceModel, s: float, p: hg.DiskPoint,
                     R: float, *, ball: fu.Ball | None = None) -> float:
     """Truncated Poincare series: sum over the R-ball of e^{-s d(p, gamma o)}."""
     if ball is None:
         ball = fu.enumerate_ball(surface, R)
     sel = ball.inside & (ball.disp <= R)
-    orbit = ball.b[sel] / np.conj(ball.a[sel])   # gamma * 0 = b / conj(a)
-    return float(np.exp(-s * hg.dist_z(p.z, orbit)).sum())
+    return float(_orbit_weights(ball.a, ball.b, sel, p.z, s)[1].sum())
 
 
 def ps_density(surface: fu.SurfaceModel, p: hg.DiskPoint, s: float, R: float,
@@ -99,9 +105,8 @@ def ps_density(surface: fu.SurfaceModel, p: hg.DiskPoint, s: float, R: float,
     sel = ball.inside & (ball.disp <= R) & (ball.disp > max(R_min, 1e-12))
     if not sel.any():
         raise DegenerateMeasureError(f"no nontrivial orbit points within R = {R}")
-    orbit = ball.b[sel] / np.conj(ball.a[sel])
+    orbit, w = _orbit_weights(ball.a, ball.b, sel, p.z, s)
     u = hg.boundary_toward_z(np.full(orbit.shape, p.z), orbit)
-    w = np.exp(-s * hg.dist_z(p.z, orbit))
     return BoundaryMeasure(p, u, w, s, R)
 
 
@@ -132,6 +137,26 @@ class DensityReport:
         return self.max_rel_dev < self.meta.get("tolerance", 0.05)
 
 
+def _bin_report(kind, mass_a, mass_b, predicted, included, meta):
+    """Per-bin comparison of mass_a / mass_b with predicted over the bins
+    flagged included (their masses clear the floor) and with mass_b > 0.
+
+    Raises DegenerateMeasureError when no bin is compared, so a report
+    never passes on an empty comparison.
+    """
+    rows = []
+    for j, center in enumerate(bin_centers(len(mass_a))):
+        ratio = float(mass_a[j] / mass_b[j]) if mass_b[j] > 0 else None
+        rel = abs(ratio / predicted[j] - 1.0) if ratio is not None else None
+        rows.append(BinComparison(float(center), float(mass_a[j]),
+                                  float(mass_b[j]), ratio, predicted[j], rel,
+                                  bool(included[j]) and ratio is not None))
+    devs = [r.rel_dev for r in rows if r.included]
+    if not devs:
+        raise DegenerateMeasureError("no bins above the mass floor")
+    return DensityReport(kind, max(devs), rows, len(rows) - len(devs), meta)
+
+
 def check_transformation(surface: fu.SurfaceModel, p: hg.DiskPoint,
                          q: hg.DiskPoint, s: float, R: float, n_bins: int,
                          *, ball: fu.Ball | None = None,
@@ -142,38 +167,16 @@ def check_transformation(surface: fu.SurfaceModel, p: hg.DiskPoint,
     """
     if ball is None:
         ball = fu.enumerate_ball(surface, R)
-    mu_p = ps_density(surface, p, s, R, ball=ball)
-    mu_q = ps_density(surface, q, s, R, ball=ball)
-    bp = mu_p.binned(n_bins)
-    bq = mu_q.binned(n_bins)
-    centers = bin_centers(n_bins)
+    bp = ps_density(surface, p, s, R, ball=ball).binned(n_bins)
+    bq = ps_density(surface, q, s, R, ball=ball).binned(n_bins)
     h = surface.entropy_h
-
-    rows = []
-    max_dev = 0.0
-    excluded = 0
-    floor_p = mass_floor * bp.sum()
-    floor_q = mass_floor * bq.sum()
-    for j in range(n_bins):
-        xi = hg.BoundaryPoint.from_angle(centers[j])
-        predicted = math.exp(-h * hg.busemann(q, p, xi))
-        included = bool(bp[j] >= floor_p and bq[j] >= floor_q)
-        ratio = float(bp[j] / bq[j]) if bq[j] > 0 else None
-        rel = abs(ratio / predicted - 1.0) if ratio is not None else None
-        if ratio is None:
-            included = False
-        rows.append(BinComparison(float(centers[j]), float(bp[j]),
-                                  float(bq[j]), ratio, predicted, rel, included))
-        if included:
-            max_dev = max(max_dev, rel)
-        else:
-            excluded += 1
-    if excluded == n_bins:
-        raise DegenerateMeasureError("no bins above the mass floor")
-    return DensityReport("transformation", max_dev, rows, excluded,
-                         {"p": [p.z.real, p.z.imag], "q": [q.z.real, q.z.imag],
-                          "s": s, "R": R, "n_bins": n_bins,
-                          "mass_floor": mass_floor, "tolerance": 0.05})
+    predicted = [math.exp(-h * hg.busemann(q, p, hg.BoundaryPoint.from_angle(c)))
+                 for c in bin_centers(n_bins)]
+    included = (bp >= mass_floor * bp.sum()) & (bq >= mass_floor * bq.sum())
+    return _bin_report("transformation", bp, bq, predicted, included,
+                       {"p": [p.z.real, p.z.imag], "q": [q.z.real, q.z.imag],
+                        "s": s, "R": R, "n_bins": n_bins,
+                        "mass_floor": mass_floor, "tolerance": 0.05})
 
 
 def check_equivariance(surface: fu.SurfaceModel, gamma: hg.Isometry,
@@ -195,18 +198,14 @@ def check_equivariance(surface: fu.SurfaceModel, gamma: hg.Isometry,
     # keep the identity as a candidate: it pulls back to gamma^{-1}, which is
     # a genuine atom of the reference measure
     sel = ball.inside & (ball.disp <= R + d_shift)
-    a, b = ball.a[sel], ball.b[sel]
-    det = np.sqrt(np.abs(a) ** 2 - np.abs(b) ** 2)
-    a, b = a / det, b / det
+    a, b = hg.normalize_ab(ball.a[sel], ball.b[sel])
     # pull back by gamma: displacement of gamma^{-1} gamma' from o
     ia, ib = hg.inverse_ab(gamma.a, gamma.b)
     pa, pb = hg.compose_ab(ia, ib, a, b)
     pulled_disp = hg.displacement_ab(pa, pb)
     keep = (pulled_disp <= R) & (pulled_disp > 1e-12)
-
-    orbit = b[keep] / np.conj(a[keep])
+    orbit, w = _orbit_weights(a, b, keep, gp.z, s)
     u = hg.boundary_toward_z(np.full(orbit.shape, gp.z), orbit)
-    w = np.exp(-s * hg.dist_z(gp.z, orbit))
     mu_shift = BoundaryMeasure(gp, u, w, s, R + d_shift)
 
     # bin the shifted measure on gamma-images of the bins by pulling atoms
@@ -216,35 +215,19 @@ def check_equivariance(surface: fu.SurfaceModel, gamma: hg.Isometry,
     b_shift = bin_masses(pulled_u, mu_shift.weights, n_bins)
     b_p = mu_p.binned(n_bins)
 
-    centers = bin_centers(n_bins)
-    rows = []
-    max_dev = 0.0
-    excluded = 0
-    floor = mass_floor * b_p.sum()
-    for j in range(n_bins):
-        included = b_p[j] >= floor
-        ratio = float(b_shift[j] / b_p[j]) if b_p[j] > 0 else None
-        rel = abs(ratio - 1.0) if ratio is not None else None
-        rows.append(BinComparison(float(centers[j]), float(b_shift[j]),
-                                  float(b_p[j]), ratio, 1.0, rel, included))
-        if included and rel is not None:
-            max_dev = max(max_dev, rel)
-        elif not included:
-            excluded += 1
-
     # raw truncation diagnostics: shifted measure truncated at the same R
     # around o, compared against the reference mass and the series bound
-    raw_sel = hg.displacement_ab(a, b) <= R
-    raw_orbit = b[raw_sel] / np.conj(a[raw_sel])
-    raw_mass = float(np.exp(-s * hg.dist_z(gp.z, raw_orbit)).sum())
+    raw_mass = float(_orbit_weights(a, b, hg.displacement_ab(a, b) <= R,
+                                    gp.z, s)[1].sum())
     series_hi = poincare_series(surface, s, p, R + d_shift, ball=ball)
     series_lo = poincare_series(surface, s, p, max(R - d_shift, 0.0), ball=ball)
-    return DensityReport("equivariance", max_dev, rows, excluded,
-                         {"gamma": [gamma.a.real, gamma.a.imag,
-                                    gamma.b.real, gamma.b.imag],
-                          "p": [p.z.real, p.z.imag], "s": s, "R": R,
-                          "n_bins": n_bins, "mass_floor": mass_floor,
-                          "tolerance": 0.05,
-                          "raw_shifted_mass": raw_mass,
-                          "reference_mass": mu_p.total_mass,
-                          "truncation_bound": abs(series_hi - series_lo)})
+    return _bin_report("equivariance", b_shift, b_p, [1.0] * n_bins,
+                       b_p >= mass_floor * b_p.sum(),
+                       {"gamma": [gamma.a.real, gamma.a.imag,
+                                  gamma.b.real, gamma.b.imag],
+                        "p": [p.z.real, p.z.imag], "s": s, "R": R,
+                        "n_bins": n_bins, "mass_floor": mass_floor,
+                        "tolerance": 0.05,
+                        "raw_shifted_mass": raw_mass,
+                        "reference_mass": mu_p.total_mass,
+                        "truncation_bound": abs(series_hi - series_lo)})

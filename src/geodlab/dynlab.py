@@ -16,7 +16,8 @@ import numpy as np
 from . import fuchsian as fu
 from . import hypgeom as hg
 from .errors import InvalidConfigurationError
-from .mme import MeasureEstimate, PhaseBox
+from .mme import (MeasureEstimate, PhaseBox, _euclid_enclosing_radius,
+                  _euclid_uniform)
 from .quotient import FundamentalDomain
 
 TWO_PI = 2.0 * math.pi
@@ -51,8 +52,6 @@ def box_times(domain: FundamentalDomain, table: fu.SpectrumTable, rows: slice, b
 
 def _liouville_phase_samples(domain: FundamentalDomain, rng, n: int):
     """Liouville-uniform phase points in T^1 F (area rejection x uniform angle)."""
-    from .mme import _euclid_enclosing_radius, _euclid_uniform
-
     r0 = _euclid_enclosing_radius(domain)
     zs = []
     have = 0

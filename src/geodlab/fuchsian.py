@@ -18,9 +18,10 @@ the stored elements under conjugation by single generators, cross-validated
 against an independent cyclic-word canonicalization on small lengths.  That
 canonicalization searches relator substitutions through one move table per
 relator, (k, u, inverse(v)) for every rotation u v, matched with
-``bytes.find``; a build searches each distinct start word once.  The table is columnar; each class's axis is that of the
-rotation of its canonical word of least exact displacement, multiplied out
-in one batch, so a built table and its reload agree bit for bit.
+``bytes.find``; a build searches each distinct start word once.  The table
+is columnar; each class's axis is that of the rotation of its canonical word
+of least exact displacement, multiplied out in one batch, so a built table
+and its reload agree bit for bit.
 """
 
 from __future__ import annotations
@@ -392,16 +393,16 @@ DEFAULT_HARD_CAP = 16.0
 # full Dirichlet diameter.
 DEFAULT_C_PRUNE = 2.0
 BFS_BLOCK_ROWS = 1 << 14   # frontier rows expanded at once within a BFS level
+MAX_BALL_ELEMENTS = 30_000_000   # stored rows after which a BFS gives up
 
 
-def enumerate_ball(surface: SurfaceModel, R: float, *, c_prune: float = DEFAULT_C_PRUNE,
-                   hard_cap: float = DEFAULT_HARD_CAP,
-                   max_elements: int = 30_000_000) -> Ball:
+def enumerate_ball(surface: SurfaceModel, R: float, *,
+                   c_prune: float = DEFAULT_C_PRUNE) -> Ball:
     """Pruned BFS over the Cayley graph, deduplicated by exact element."""
-    if R > hard_cap:
-        raise OutOfRangeError(f"R = {R} exceeds the hard cap {hard_cap}")
-    parts = _orbit_bfs(surface, R + c_prune, max_elements=max_elements,
-                       c_prune=c_prune)
+    if R > DEFAULT_HARD_CAP:
+        raise OutOfRangeError(
+            f"R = {R} exceeds the hard cap {DEFAULT_HARD_CAP}")
+    parts = _orbit_bfs(surface, R + c_prune, c_prune=c_prune)
     return Ball(surface, R, c_prune, *parts)
 
 
@@ -411,8 +412,7 @@ def brute_force_ball(surface: SurfaceModel, max_word_len: int) -> Ball:
     return Ball(surface, float(d.max()), 0.0, index, d, parent, letter)
 
 
-def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, max_elements=math.inf,
-               c_prune=0.0):
+def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, c_prune=0.0):
     """Level-by-level BFS over reduced words, deduplicated by exact element.
 
     Each level extends the previous level's new elements by every letter
@@ -421,7 +421,8 @@ def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, max_elements=math.inf,
     first of each element not seen before.  The frontier is expanded
     ``BFS_BLOCK_ROWS`` rows at a time and only the kept candidates of each
     block are held, in the order a single block would give.  Stops when a
-    level adds nothing or after ``max_levels`` levels.  Returns (index,
+    level adds nothing, after ``max_levels`` levels, or raises
+    PartialEnumerationError past ``MAX_BALL_ELEMENTS`` rows.  Returns (index,
     disp, parent, letter) with the identity at position 0.
     """
     ga, gb = surface.gen_a, np.conj(surface.gen_b)
@@ -469,9 +470,9 @@ def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, max_elements=math.inf,
         p_parts.append(fi[src[new]])
         l_parts.append(let[new])
         total += len(new)
-        if total > max_elements:
+        if total > MAX_BALL_ELEMENTS:
             raise PartialEnumerationError(
-                f"element budget {max_elements} exceeded",
+                f"element budget {MAX_BALL_ELEMENTS} exceeded",
                 max(float(disp[new].min()) - c_prune, 0.0))
         fr, fl = prod[new], let[new]
         fi = np.arange(total - len(new), total, dtype=np.int64)
@@ -589,28 +590,32 @@ def _substitution_moves(word, relator, max_len):
     return out
 
 
+CLASS_SLACK = 2            # letters a class search may exceed the shortest by
+CLASS_STATES = 200_000     # cyclic words a class search may visit
+
+
 def _start_word(word, surface):
     """Least rotation of the Dehn-cyclic-reduced word, where the search of
     ``canonical_class`` starts; its result depends on nothing else."""
     return _min_rotation(dehn_cyclic_reduce(tuple(word), surface))
 
 
-def canonical_class(word, surface, *, slack=2, max_states=200_000):
+def canonical_class(word, surface):
     """Canonical cyclic word of the conjugacy class of ``word``.
 
     Conjugation acts on cyclic words by relator substitutions.  The class is
     explored by breadth-first search over raw cyclic words (free reduction
-    only, in rotation-minimal form) through words at most ``slack`` longer
-    than the current minimum; the substitution moves are symmetric on raw
-    words, whereas eager Dehn reduction is not confluent and can disconnect
-    the search.  Returns the lexicographically least rotation of the
+    only, in rotation-minimal form) through words at most ``CLASS_SLACK``
+    longer than the current minimum; the substitution moves are symmetric on
+    raw words, whereas eager Dehn reduction is not confluent and can
+    disconnect the search.  Returns the lexicographically least rotation of the
     shortest words found.  Idempotent and conjugation invariant on
     desk-scale words; validated against the axis pipeline.
     """
-    return _class_search(_start_word(word, surface), surface, slack, max_states)
+    return _class_search(_start_word(word, surface), surface)
 
 
-def _class_search(w0, surface, slack=2, max_states=200_000):
+def _class_search(w0, surface):
     """The search of ``canonical_class`` from its start word w0."""
     if not w0:
         raise CanonicalizationError("trivial word has no conjugacy class")
@@ -619,17 +624,18 @@ def _class_search(w0, surface, slack=2, max_states=200_000):
     queue = [w0]
     while queue:
         cur = queue.pop()
-        if len(cur) > best_len + slack:
+        if len(cur) > best_len + CLASS_SLACK:
             continue
-        for raw in _substitution_moves(cur, surface.relator, best_len + slack):
+        for raw in _substitution_moves(cur, surface.relator,
+                                       best_len + CLASS_SLACK):
             nxt = _min_rotation(_cyclic_reduce(raw))
-            if not nxt or nxt in seen or len(nxt) > best_len + slack:
+            if not nxt or nxt in seen or len(nxt) > best_len + CLASS_SLACK:
                 continue
             seen.add(nxt)
             queue.append(nxt)
             if len(nxt) < best_len:
                 best_len = len(nxt)
-            if len(seen) > max_states:
+            if len(seen) > CLASS_STATES:
                 raise CanonicalizationError("state budget exhausted")
     return min(w for w in seen if len(w) == best_len)
 
@@ -869,15 +875,14 @@ DEFAULT_SPECTRUM_MARGIN = 2.0
 SPECTRUM_SCHEMA = 3
 
 
-def spectrum_meta(R, *, margin=DEFAULT_SPECTRUM_MARGIN, c_prune=DEFAULT_C_PRUNE) -> dict:
+def spectrum_meta(R, *, margin=DEFAULT_SPECTRUM_MARGIN) -> dict:
     """Everything a table built to length R depends on; saved as its meta."""
     return {"schema": SPECTRUM_SCHEMA, "R": R, "margin": margin,
-            "c_prune": c_prune}
+            "c_prune": DEFAULT_C_PRUNE}
 
 
 def build_spectrum(surface: SurfaceModel, R: float, *,
                    margin: float = DEFAULT_SPECTRUM_MARGIN,
-                   c_prune: float = DEFAULT_C_PRUNE,
                    cross_validate_to: float = 8.0,
                    ball: Ball | None = None) -> SpectrumTable:
     """Build the oriented length spectrum up to length R.
@@ -899,7 +904,7 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
     table reloaded from its CSV on first use, with the same bits.
     """
     if ball is None:
-        ball = enumerate_ball(surface, R + margin, c_prune=c_prune)
+        ball = enumerate_ball(surface, R + margin)
     memo = {}      # canonical words of this build, by start word
     words, class_of, reps = conjugacy_classes(surface, ball, R, memo)
     primitive = _mark_iterates(ball, reps, class_of, R)
@@ -909,8 +914,8 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
         _cross_validate_words(surface, ball, ell, class_of,
                               min(cross_validate_to, R), memo)
     rows = zip(words, tr.tolist(), ell.tolist(), primitive.tolist())
-    table = SpectrumTable.from_rows(surface, R, rows, spectrum_meta(
-        R, margin=margin, c_prune=c_prune))
+    table = SpectrumTable.from_rows(surface, R, rows,
+                                    spectrum_meta(R, margin=margin))
     table.axes  # noqa: B018  (the build pays for its own geometry)
     return table
 

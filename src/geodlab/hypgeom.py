@@ -191,9 +191,9 @@ def geodesic_foot_z(a, b, c):
     # distance to the real diameter: sinh(d) = 2 Im w / (1 - |w|^2)
     sh = 2.0 * w.imag / (1.0 - np.abs(w) ** 2)
     d = np.arcsinh(np.abs(sh))
-    # foot: the real-axis projection in the hyperbolic sense.
-    # For the diameter, the nearest point to w is x with
-    # tanh(s) parametrization: x = (1+|w|^2 - sqrt((1+|w|^2)^2-4 Re(w)^2))/(2 Re w)
+    # foot: the real-axis projection in the hyperbolic sense.  On the
+    # diameter, parametrized by x = tanh(s/2), the nearest point to w is
+    # x = (1+|w|^2 - sqrt((1+|w|^2)^2-4 Re(w)^2))/(2 Re w)
     re = w.real
     t = 1.0 + np.abs(w) ** 2
     disc = np.sqrt(np.maximum(t * t - 4.0 * re * re, 0.0))

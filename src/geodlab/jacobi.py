@@ -23,6 +23,7 @@ RANK_TOL = 1e-8            # sup|K| threshold for rank >= 2
 GAP_TOL = 1e-6             # Riccati gap threshold for transversality
 SPEED_DRIFT_LIMIT = 1e-4   # unit-speed monitor hard limit
 RICCATI_BLOWUP = 1e6
+CURVATURE_TOL = 1e-12      # largest K a preset's grid check lets pass
 DUMP_BLOCK_ROWS = 1000     # row states per Riccati batch of a CSV dump
 
 
@@ -38,13 +39,13 @@ class ConformalMetric:
     def curvature(self, x, y):
         return -np.exp(-2.0 * self.phi(x, y)) * self.laplacian(x, y)
 
-    def check_nonpositive(self, tol=1e-12):
-        """Grid check of the K <= 0 contract over the preset's chart domain."""
+    def check_nonpositive(self):
+        """Grid check of K <= CURVATURE_TOL over the preset's chart domain."""
         ext = CHART_EXTENT.get(self.name, 3.0)
         g = np.linspace(-ext, ext, 41)
         xx, yy = np.meshgrid(g, g)
         kmax = float(self.curvature(xx, yy).max())
-        if kmax > tol:
+        if kmax > CURVATURE_TOL:
             raise InvalidConfigurationError(
                 f"metric {self.name} has positive curvature {kmax}")
         return kmax
@@ -170,6 +171,26 @@ def _rhs(metric, state):
     return out
 
 
+def _rk4(f, y0, h, n, guard=None):
+    """Classical RK4 for y' = f(i, c, y), sampled at the fraction c (0, 1/2
+    or 1) of step i: n steps of size h (broadcasting against y) from y0.
+    Returns every state, shaped (n + 1,) + y0.shape; guard, if given, sees
+    each new state once."""
+    out = np.empty((n + 1,) + y0.shape)
+    out[0] = y = y0
+    half, sixth = 0.5 * h, h / 6.0
+    for i in range(n):
+        k1 = f(i, 0.0, y)
+        k2 = f(i, 0.5, y + half * k1)
+        k3 = f(i, 0.5, y + half * k2)
+        k4 = f(i, 1.0, y + h * k3)
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        if guard is not None:
+            guard(y)
+        out[i + 1] = y
+    return out
+
+
 def _integrate_batch(metric, x0, y0, th0, T, dt: float):
     """RK4 over a batch to the signed horizon T, shared or one per column;
     returns (s, out): unsigned arclengths, states shaped (steps + 1, 3, n)."""
@@ -179,16 +200,7 @@ def _integrate_batch(metric, x0, y0, th0, T, dt: float):
     h = np.asarray(T, float) / n
     state = np.stack([np.asarray(x0, float), np.asarray(y0, float),
                       np.asarray(th0, float)])
-    out = np.empty((n + 1,) + state.shape)
-    out[0] = state
-    half, sixth = 0.5 * h, h / 6.0
-    for i in range(n):
-        k1 = _rhs(metric, state)
-        k2 = _rhs(metric, state + half * k1)
-        k3 = _rhs(metric, state + half * k2)
-        k4 = _rhs(metric, state + h * k3)
-        state = state + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = state
+    out = _rk4(lambda i, c, y: _rhs(metric, y), state, h, n)
     return np.max(np.abs(h)) * np.arange(n + 1), out
 
 
@@ -254,23 +266,25 @@ def _two_way_curvature(metric, x0, y0, th0, T: float, dt: float, s_start=0.0):
 
 @dataclass
 class RankReport:
-    rank: str                  # "rank_one" | "rank_ge_2"
     sup_abs_K: float
     T: float
-    tol: float
+    tol: float = RANK_TOL
+
+    @property
+    def rank(self) -> str:     # "rank_one" | "rank_ge_2"
+        return "rank_ge_2" if self.sup_abs_K <= self.tol else "rank_one"
 
 
 def rank_classify(metric: ConformalMetric, s0: GeodesicState,
-                  T: float = DEFAULT_T, tol: float = RANK_TOL) -> RankReport:
+                  T: float = DEFAULT_T) -> RankReport:
     """Finite-horizon rank dichotomy via curvature along the orbit.
 
-    rank >= 2 iff sup |K| <= tol over the sampled trajectory on [-T, T]; the
-    horizon is reported as part of the contract.
+    rank >= 2 iff sup |K| <= RANK_TOL over the sampled trajectory on [-T, T];
+    the horizon is reported as part of the contract.
     """
     _, k = _two_way_curvature(metric, [s0.x], [s0.y], [s0.theta], T,
                               DEFAULT_DT)
-    sup = float(np.abs(k).max())
-    return RankReport("rank_ge_2" if sup <= tol else "rank_one", sup, T, tol)
+    return RankReport(float(np.abs(k).max()), T)
 
 
 # ---------------------------------------------------------------------------
@@ -287,31 +301,26 @@ class RiccatiReport:
         return self.u_unstable - self.u_stable
 
 
-def _riccati_along(K_vals, h, u0=0.0):
-    """Integrate u' = -K - u^2 along sampled curvature with RK4 from u0.
+def _riccati_along(K_vals, h):
+    """Integrate u' = -K - u^2 along sampled curvature with RK4 from u = 0,
+    K at the midpoint of a step being the mean of its ends.
 
     K_vals has shape (steps + 1, ...) and h broadcasts against one sample;
     returns u at every sample, shaped like K_vals.
     """
     K_vals = np.asarray(K_vals, float)
-    u = np.empty_like(K_vals)
-    u[0] = u0
-    half, sixth = 0.5 * h, h / 6.0
-    for i in range(len(K_vals) - 1):
-        k0, k1, ui = K_vals[i], K_vals[i + 1], u[i]
-        km = 0.5 * (k0 + k1)
-        a1 = -k0 - ui * ui
-        v = ui + half * a1
-        a2 = -km - v * v
-        v = ui + half * a2
-        a3 = -km - v * v
-        v = ui + h * a3
-        a4 = -k1 - v * v
-        u[i + 1] = ui + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
-        if (np.abs(u[i + 1]) > RICCATI_BLOWUP).any():
+
+    def rhs(i, c, u):
+        k = (0.5 * (K_vals[i] + K_vals[i + 1]) if c == 0.5
+             else K_vals[i + int(c)])
+        return -k - u * u
+
+    def guard(u):
+        if (np.abs(u) > RICCATI_BLOWUP).any():
             raise IntegrationError(
                 "Riccati blow-up under nonpositive curvature")
-    return u
+
+    return _rk4(rhs, np.zeros(K_vals.shape[1:]), h, len(K_vals) - 1, guard)
 
 
 def _riccati_limits(h, k):
@@ -348,8 +357,8 @@ class RankSuiteResult:
 
 
 def rank_suite(preset: str, n_geodesics: int = 100, seed: int = 0,
-               T: float = DEFAULT_T, dt: float = DEFAULT_DT,
-               tol: float = RANK_TOL) -> RankSuiteResult:
+               T: float = DEFAULT_T,
+               dt: float = DEFAULT_DT) -> RankSuiteResult:
     """Classifier agreement: Riccati gap vs curvature along the orbit.
 
     All geodesics of a preset are integrated as one batch; both classifiers
@@ -366,8 +375,7 @@ def rank_suite(preset: str, n_geodesics: int = 100, seed: int = 0,
     u_stable, u_unstable = _riccati_limits(h, k)
     reports = []
     for i, s0 in enumerate(states):
-        rk = RankReport("rank_ge_2" if sup_k[i] <= tol else "rank_one",
-                        float(sup_k[i]), T, tol)
+        rk = RankReport(float(sup_k[i]), T)
         rc = RiccatiReport(float(u_stable[i]), float(u_unstable[i]), T)
         agree = (rc.gap > GAP_TOL) == (rk.rank == "rank_one")
         reports.append((s0, rk, rc, agree))

@@ -27,6 +27,8 @@ from .quotient import FundamentalDomain
 TWO_PI = 2.0 * math.pi
 PAIR_EXCLUSION = 1e-4      # minimal angular separation of boundary pairs
 ASYMPTOTIC_TOL = 1e-6      # busemann tolerance for holonomy configurations
+BOX_MARGIN = 0.05          # gap between a random box's ball and the inradius
+HOLONOMY_BINS = 48         # angular bins of the holonomy comparison
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,10 @@ class MeasureEstimate:
 
 
 def random_box(domain: FundamentalDomain, rng, *, position_radius=0.35,
-               angle_halfwidth=0.5, margin=0.05) -> PhaseBox:
+               angle_halfwidth=0.5) -> PhaseBox:
     """Random box whose position ball lies inside the fundamental domain."""
     inradius = 0.5 * domain.surface.generator(0).displacement()
-    max_center = inradius - position_radius - margin
+    max_center = inradius - position_radius - BOX_MARGIN
     if max_center <= 0:
         raise InvalidConfigurationError("box too large for the domain")
     while True:
@@ -128,20 +130,8 @@ ENCLOSING_EUCLID_RADIUS_PAD = 0.005
 
 
 def _euclid_enclosing_radius(domain: FundamentalDomain) -> float:
-    circum = 0.5 * domain.surface.domain_diameter
-    return math.tanh(0.5 * circum) + ENCLOSING_EUCLID_RADIUS_PAD
-
-
-def domain_area(domain: FundamentalDomain, n_samples=400_000, seed=0) -> MeasureEstimate:
-    """Hyperbolic area of F by rejection sampling (Gauss-Bonnet oracle 4 pi)."""
-    rng = np.random.default_rng(seed)
-    r0 = _euclid_enclosing_radius(domain)
-    z = _euclid_uniform(rng, n_samples, r0)
-    w = 4.0 / (1.0 - np.abs(z) ** 2) ** 2
-    x = np.where(domain.contains_z(z), w, 0.0)
-    euclid_area = math.pi * r0 * r0
-    mean, se = x.mean(), x.std(ddof=1) / math.sqrt(n_samples)
-    return MeasureEstimate(mean * euclid_area, se * euclid_area, n_samples)
+    return (math.tanh(0.5 * domain.surface.domain_radius)
+            + ENCLOSING_EUCLID_RADIUS_PAD)
 
 
 def _euclid_uniform(rng, n, r0):
@@ -149,14 +139,28 @@ def _euclid_uniform(rng, n, r0):
             * np.exp(1j * rng.uniform(0, TWO_PI, n)))
 
 
+def _area_sample(domain: FundamentalDomain, n_samples, seed):
+    """(z, w, in_F): points uniform on the Euclidean disk enclosing F, the
+    hyperbolic area density at each, and their membership in F."""
+    z = _euclid_uniform(np.random.default_rng(seed), n_samples,
+                        _euclid_enclosing_radius(domain))
+    return z, 4.0 / (1.0 - np.abs(z) ** 2) ** 2, domain.contains_z(z)
+
+
+def domain_area(domain: FundamentalDomain, n_samples=400_000, seed=0) -> MeasureEstimate:
+    """Hyperbolic area of F by rejection sampling (Gauss-Bonnet oracle 4 pi)."""
+    _, w, in_f = _area_sample(domain, n_samples, seed)
+    x = np.where(in_f, w, 0.0)
+    r0 = _euclid_enclosing_radius(domain)
+    euclid_area = math.pi * r0 * r0
+    mean, se = x.mean(), x.std(ddof=1) / math.sqrt(n_samples)
+    return MeasureEstimate(mean * euclid_area, se * euclid_area, n_samples)
+
+
 def liouville_measure(domain: FundamentalDomain, box: PhaseBox,
                       n_samples=400_000, seed=0) -> MeasureEstimate:
     """Normalized Liouville measure of a box: area ratio times angle fraction."""
-    rng = np.random.default_rng(seed)
-    r0 = _euclid_enclosing_radius(domain)
-    z = _euclid_uniform(rng, n_samples, r0)
-    w = 4.0 / (1.0 - np.abs(z) ** 2) ** 2
-    in_f = domain.contains_z(z)
+    z, w, in_f = _area_sample(domain, n_samples, seed)
     in_ball = in_f & (hg.dist_z(z, box.center.base.z) < box.position_radius)
     x = np.where(in_ball, w, 0.0)
     y = np.where(in_f, w, 0.0)
@@ -271,6 +275,16 @@ def _sample_pairs(density, rng, n):
     return xi, eta, discarded
 
 
+def _pair_batch(surface, domain, box, density, rng, n, flow_t=0.0):
+    """(values, discarded) of n boundary pairs drawn from the density: each
+    pair's weighted length in the box (None: in F x S^1), as
+    `_trace_weighted_length` gives it on the pair's carrier."""
+    xi, eta, discarded = _sample_pairs(density, rng, n)
+    ca, cb = hg.pair_carrier_ab(xi, eta)
+    w = _pair_weights(density.basepoint, ca, cb, xi, eta, surface.entropy_h)
+    return _trace_weighted_length(domain, box, ca, cb, w, flow_t), discarded
+
+
 def knieper_normalization(surface: fu.SurfaceModel, domain: FundamentalDomain,
                           density: de.BoundaryMeasure, n_samples=200_000,
                           seed=0) -> tuple[float, float]:
@@ -281,12 +295,8 @@ def knieper_normalization(surface: fu.SurfaceModel, domain: FundamentalDomain,
     cache = getattr(density, "_knieper_norm", None)
     if cache is not None and cache[0] == (n_samples, seed):
         return cache[1]
-    rng = np.random.default_rng(seed)
-    h = surface.entropy_h
-    xi, eta, _ = _sample_pairs(density, rng, n_samples)
-    ca, cb = hg.pair_carrier_ab(xi, eta)
-    w = _pair_weights(density.basepoint, ca, cb, xi, eta, h)
-    vals = _trace_weighted_length(domain, None, ca, cb, w)
+    vals, _ = _pair_batch(surface, domain, None, density,
+                          np.random.default_rng(seed), n_samples)
     z = float(vals.mean())
     if z <= 0:
         raise DegenerateMeasureError("normalization estimate vanished")
@@ -310,7 +320,6 @@ def knieper_measure(surface: fu.SurfaceModel, domain: FundamentalDomain,
                                          n_samples=norm_samples,
                                          seed=norm_seed)
     rng = np.random.default_rng(seed)
-    h = surface.entropy_h
     chunk = 100_000
     discarded = 0
     done = 0
@@ -318,11 +327,9 @@ def knieper_measure(surface: fu.SurfaceModel, domain: FundamentalDomain,
     total_sq = 0.0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        xi, eta, disc = _sample_pairs(density, rng, m)
+        vals, disc = _pair_batch(surface, domain, box, density, rng, m,
+                                 flow_t)
         discarded += disc
-        ca, cb = hg.pair_carrier_ab(xi, eta)
-        w = _pair_weights(density.basepoint, ca, cb, xi, eta, h)
-        vals = _trace_weighted_length(domain, box, ca, cb, w, flow_t)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += m
@@ -422,20 +429,18 @@ class HolonomyReport:
 
 
 def verify_holonomy(surface: fu.SurfaceModel, v, v2, w, w2,
-                    density_R: float = 10.0, n_bins: int = 48,
-                    *, ball: fu.Ball | None = None,
-                    s: float | None = None) -> HolonomyReport:
+                    density_R: float = 10.0, *,
+                    ball: fu.Ball | None = None) -> HolonomyReport:
     """Holonomy invariance dm_v^u(w) = dm_{v'}^u(w').
 
     Configuration: w' asymptotic to w (same forward endpoint, Busemann 0),
     v' asymptotic to v likewise, w on the weak-unstable set of v (shared
     backward endpoint).  The Busemann factors cancel analytically; the mu
-    factors are compared through binned proxy densities at the two base
-    points, so the residual is the binned transformation-law error.
+    factors are compared through HOLONOMY_BINS-binned proxy densities at the
+    two base points, so the residual is the binned transformation-law error.
     """
     h = surface.entropy_h
-    if s is None:
-        s = de.DEFAULT_S_FACTOR * h
+    s = de.DEFAULT_S_FACTOR * h
     w_inf, w_minf = hg.endpoints(w)
     w2_inf, _ = hg.endpoints(w2)
     v_inf, v_minf = hg.endpoints(v)
@@ -456,15 +461,13 @@ def verify_holonomy(surface: fu.SurfaceModel, v, v2, w, w2,
 
     if ball is None:
         ball = fu.enumerate_ball(surface, density_R)
-    mu_v = de.ps_density(surface, v.base, s, density_R, ball=ball)
-    mu_v2 = de.ps_density(surface, v2.base, s, density_R, ball=ball)
-    bin_v = de.bin_masses(mu_v.atom_u, mu_v.weights, n_bins)
-    bin_v2 = de.bin_masses(mu_v2.atom_u, mu_v2.weights, n_bins)
-    j = int(de.bin_index(np.array([w_inf.u]), n_bins)[0])
-    mu_lhs = float(bin_v[j])
-    mu_rhs = float(bin_v2[j])
+    j = int(de.bin_index(np.array([w_inf.u]), HOLONOMY_BINS)[0])
+    mu_lhs, mu_rhs = (
+        float(de.ps_density(surface, x.base, s, density_R, ball=ball)
+              .binned(HOLONOMY_BINS)[j]) for x in (v, v2))
     if mu_lhs <= 0 or mu_rhs <= 0:
         raise DegenerateMeasureError("empty density bin at the holonomy endpoint")
     dev = abs((b_rhs * mu_rhs) / (b_lhs * mu_lhs) - 1.0)
-    return HolonomyReport(b_lhs, b_rhs, mu_lhs, mu_rhs, dev,
-                          {"bin": j, "n_bins": n_bins, "R": density_R, "s": s})
+    return HolonomyReport(
+        b_lhs, b_rhs, mu_lhs, mu_rhs, dev,
+        {"bin": j, "n_bins": HOLONOMY_BINS, "R": density_R, "s": s})

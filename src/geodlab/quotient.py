@@ -34,6 +34,7 @@ SCREEN_MARGIN = 1e-9    # distance slack of the test-set screen, far above
                         # the rounding of the excess and distance tests
 MEMBER_MARGIN = 1e-6    # distance margin of the membership screen
 MEMBER_BLOCK = 4096     # points per block of the bisector test
+TEST_SET_PAD = 0.2      # test-set radius beyond the domain diameter
 
 
 class FundamentalDomain:
@@ -46,13 +47,12 @@ class FundamentalDomain:
     the Bolza surface they are the 8 generator letters.
     """
 
-    def __init__(self, surface: fu.SurfaceModel, test_radius: float | None = None):
+    def __init__(self, surface: fu.SurfaceModel):
         self.surface = surface
-        if test_radius is None:
-            # the bisector of gamma meets F only if displacement(gamma) is at
-            # most the domain diameter, so this test set is already complete
-            test_radius = surface.domain_diameter + 0.2
-        ball = fu.enumerate_ball(surface, test_radius)
+        # the bisector of gamma meets F only if displacement(gamma) is at
+        # most the domain diameter, so this test set is already complete
+        ball = fu.enumerate_ball(surface,
+                                 surface.domain_diameter + TEST_SET_PAD)
         sel = np.nonzero(ball.inside & (ball.disp > 1e-9))[0]
         a, b = hg.normalize_ab(ball.a[sel], ball.b[sel])
         self.test_a = a

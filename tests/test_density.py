@@ -107,3 +107,16 @@ class TestEquivariance:
         assert rep.max_rel_dev < 1e-9
         diff = abs(rep.meta["raw_shifted_mass"] - rep.meta["reference_mass"])
         assert diff <= rep.meta["truncation_bound"]
+
+
+@pytest.mark.parametrize("check", [
+    lambda s: de.check_transformation(s, hg.ORIGIN, hg.DiskPoint(0.3 + 0.1j),
+                                      1.05, 8.0, 48, mass_floor=1.0),
+    lambda s: de.check_equivariance(s, s.generator(0), hg.ORIGIN, 1.05, 8.0,
+                                    48, mass_floor=1.0),
+], ids=["transformation", "equivariance"])
+def test_no_bin_above_the_floor_raises(bolza, check):
+    # with every bin below the mass floor nothing is compared, which must
+    # not read as a pass with deviation 0
+    with pytest.raises(DegenerateMeasureError):
+        check(bolza)

@@ -150,6 +150,41 @@ class TestRiccati:
         with pytest.raises(IntegrationError):
             ja._riccati_along(np.full(400001, -1e9), 0.005)
 
+    def test_blowup_guard_sees_the_final_state(self, monkeypatch):
+        # flat until the last sample, whose positive curvature takes u past
+        # the bound in the final step only
+        k = np.zeros(50)
+        k[-1] = -4e12
+        monkeypatch.setattr(ja, "RICCATI_BLOWUP", math.inf)
+        u = ja._riccati_along(k, 1e-6)
+        assert (u[:-1] == 0.0).all() and u[-1] > 1e6
+        monkeypatch.undo()
+        with pytest.raises(IntegrationError):
+            ja._riccati_along(k, 1e-6)
+
+
+class TestStepper:
+    def test_linear_growth_is_the_rk4_amplification_factor(self):
+        # one step on y' = lam y multiplies y by the degree-4 Taylor
+        # polynomial of e^z, z = lam h
+        lam = np.array([-3.0, -0.5, 0.0, 0.7, 2.0])
+        h, n = 0.05, 40
+        y = ja._rk4(lambda i, c, y: lam * y, np.ones(5), h, n)
+        z = lam * h
+        g = 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+        np.testing.assert_allclose(y, g ** np.arange(n + 1)[:, None],
+                                   rtol=1e-13)
+
+    def test_stage_times(self):
+        # y' = t^3 samples f at the start, middle (twice) and end of each
+        # step; RK4 then is Simpson's rule, exact for cubics
+        h, n = 0.1, 20
+        y = ja._rk4(lambda i, c, y: ((i + c) * h) ** 3 + 0.0 * y,
+                    np.zeros(1), h, n)
+        t = h * np.arange(n + 1)
+        np.testing.assert_allclose(y[:, 0], t ** 4 / 4, rtol=1e-12,
+                                   atol=1e-15)
+
 
 class TestHorizon:
     @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
