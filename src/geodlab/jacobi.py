@@ -268,11 +268,10 @@ def _two_way_curvature(metric, x0, y0, th0, T: float, dt: float, s_start=0.0):
 class RankReport:
     sup_abs_K: float
     T: float
-    tol: float = RANK_TOL
 
     @property
     def rank(self) -> str:     # "rank_one" | "rank_ge_2"
-        return "rank_ge_2" if self.sup_abs_K <= self.tol else "rank_one"
+        return "rank_ge_2" if self.sup_abs_K <= RANK_TOL else "rank_one"
 
 
 def rank_classify(metric: ConformalMetric, s0: GeodesicState,
@@ -309,11 +308,11 @@ def _riccati_along(K_vals, h):
     returns u at every sample, shaped like K_vals.
     """
     K_vals = np.asarray(K_vals, float)
+    mid = K_vals[:-1] + K_vals[1:]
+    mid *= 0.5
 
     def rhs(i, c, u):
-        k = (0.5 * (K_vals[i] + K_vals[i + 1]) if c == 0.5
-             else K_vals[i + int(c)])
-        return -k - u * u
+        return -(mid[i] if c == 0.5 else K_vals[i + int(c)]) - u * u
 
     def guard(u):
         if (np.abs(u) > RICCATI_BLOWUP).any():
