@@ -26,8 +26,7 @@ def main():
     print(f"  {len(table.classes)} oriented classes; systole "
           f"{table.systole():.6f} with multiplicity {mult}\n")
 
-    rep = dl.counting_suite(table, [6.0, 7.0, 8.0, 8.5], 0.5,
-                            h=bolza.entropy_h)
+    rep = dl.counting_suite(table, [6.0, 7.0, 8.0, 8.5], 0.5)
     print("cumulative law   P_t  vs  e^{ht}/(ht)")
     for row in rep.cumulative:
         print(f"  t = {row.t:4.1f}:  {row.observed:8.0f}  vs "

@@ -2,8 +2,9 @@
 
 Subcommands: spectrum | count | density | mme | cube | rank | verify-all.
 Configuration is a flat ``key = value`` text file; flags override file
-values.  All outputs are deterministic for a fixed (config, seed): reports
-carry no timestamps and all float formatting uses repr.
+values; a command takes only the flags in ``READS`` and the path flags.
+All outputs are deterministic for a fixed (config, seed): reports carry no
+timestamps and all float formatting uses repr.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +40,8 @@ CACHE_ENV = "GEODLAB_CACHE"
 
 @dataclass
 class RunConfig:
-    surface: str = "bolza"
     radius: float = 10.0
-    t_grid: list = field(default_factory=lambda: [6.0, 8.0, 9.0])
+    t: list = field(default_factory=lambda: [6.0, 8.0, 9.0])  # t grid
     epsilon: float = 0.5
     samples: int = 200_000
     seed: int = 0
@@ -50,17 +50,14 @@ class RunConfig:
     cache_dir: str | None = None
 
     def validate(self):
-        if self.surface not in fu.PRESETS:
-            raise ConfigError(f"unknown surface {self.surface!r}; presets: "
-                              + ", ".join(sorted(fu.PRESETS)))
         if not all(map(math.isfinite, [self.radius, self.epsilon,
-                                       *self.t_grid, *(self.box or ())])):
+                                       *self.t, *(self.box or ())])):
             raise ConfigError("numeric values must be finite")
         if self.radius <= 0 or self.epsilon <= 0 or self.samples <= 0:
             raise ConfigError("radius, epsilon, and samples must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if not self.t_grid or any(t <= 0 for t in self.t_grid):
+        if not self.t or any(t <= 0 for t in self.t):
             raise ConfigError("t grid must be nonempty with positive entries")
         if self.box is not None and len(self.box) != 5:
             raise ConfigError("box needs 5 numbers: x,y,theta,radius,halfwidth")
@@ -109,31 +106,43 @@ def _parse_floats(text):
         raise ConfigError(f"bad numeric list {text!r}") from e
 
 
+# How a flag or config-file value of each RunConfig field is parsed
+TYPES = {"radius": float, "t": _parse_floats, "epsilon": float,
+         "samples": int, "seed": int, "box": _parse_floats, "out": str,
+         "cache_dir": str}
+# The RunConfig fields each command reads.  Its flags are these and the path
+# flags --config, --out and --cache-dir; a config file may set any field.
+READS = {
+    "spectrum": {"radius"},
+    "count": {"radius", "t", "epsilon"},
+    "density": {"radius"},
+    "mme": {"radius", "samples", "seed", "box"},
+    "cube": {"radius", "t", "samples", "seed", "box"},
+    "rank": {"seed"},
+    "verify-all": {"seed"},
+}
+PATHS = {"out", "cache_dir"}
+
+
 def build_config(args) -> RunConfig:
+    unread = [f"--{k}" for k in TYPES if k not in READS[args.command] | PATHS
+              and getattr(args, k) is not None]
+    if unread:
+        raise ConfigError(f"{args.command} does not read {' '.join(unread)}")
     cfg = RunConfig()
+    if args.command == "cube":      # one t: the default grid's largest
+        cfg.t = [max(cfg.t)]
     file_vals = parse_config_file(args.config) if args.config else {}
-    known = [f.name for f in fields(RunConfig)]
-    for k, v in file_vals.items():
-        key = "t_grid" if k == "t" else k
-        if key not in known:
-            raise ConfigError(f"unknown config key {k!r}")
-        setattr(cfg, key, v)
-    # flags override file values; t_grid's flag is --t
-    for key in known:
-        v = getattr(args, "t" if key == "t_grid" else key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    # normalize string-typed values coming from the config file
-    for key, kind in (("radius", float), ("epsilon", float),
-                      ("samples", int), ("seed", int)):
+    for key, v in file_vals.items():
+        if key not in TYPES:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            setattr(cfg, key, kind(getattr(cfg, key)))
+            setattr(cfg, key, TYPES[key](v))
         except ValueError as e:
             raise ConfigError(f"bad {key} value ({e})") from e
-    if isinstance(cfg.t_grid, str):
-        cfg.t_grid = _parse_floats(cfg.t_grid)
-    if isinstance(cfg.box, str):
-        cfg.box = _parse_floats(cfg.box)
+    for key in TYPES:           # flags override file values
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     return cfg.validate()
 
 
@@ -157,7 +166,7 @@ def cached_spectrum(cfg: RunConfig) -> tuple[fu.SpectrumTable, str, bool]:
     else is rebuilt.  Files are written under temporary names and renamed
     into place, sidecar last, so a crash never leaves a valid-looking entry.
     """
-    want = {"surface": cfg.surface, "cutoff": cfg.radius,
+    want = {"surface": "bolza", "cutoff": cfg.radius,
             **fu.spectrum_meta(cfg.radius)}
     key = hashlib.sha256(
         json.dumps(want, sort_keys=True).encode()).hexdigest()[:16]
@@ -174,8 +183,7 @@ def cached_spectrum(cfg: RunConfig) -> tuple[fu.SpectrumTable, str, bool]:
         meta_ok = hash_ok = False
     if meta_ok and hash_ok:
         return fu.SpectrumTable.load(csv_path, meta_path), csv_path, True
-    surface = fu.load_surface(cfg.surface)
-    table = fu.build_spectrum(surface, cfg.radius)
+    table = fu.build_spectrum(fu.bolza(), cfg.radius)
     tmp = {p: f"{p}.{os.getpid()}.tmp" for p in (csv_path, meta_path, sidecar)}
     try:
         table.save(tmp[csv_path], tmp[meta_path])
@@ -231,12 +239,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_count(cfg: RunConfig) -> int:
-    if max(cfg.t_grid) + cfg.epsilon > cfg.radius:
+    if max(cfg.t) + cfg.epsilon > cfg.radius:
         raise ConfigError("t grid plus epsilon exceeds the spectrum radius")
     table, _, _ = cached_spectrum(cfg)
-    surface = fu.load_surface(cfg.surface)
-    rep = dy.counting_suite(table, cfg.t_grid, cfg.epsilon,
-                            h=surface.entropy_h)
+    rep = dy.counting_suite(table, cfg.t, cfg.epsilon)
     rows = [(r.t, float(r.observed), r.predicted, r.ratio)
             for r in rep.cumulative]
     _write_csv(os.path.join(cfg.out, "count_cumulative.csv"),
@@ -256,7 +262,7 @@ def cmd_count(cfg: RunConfig) -> int:
 
 
 def cmd_density(cfg: RunConfig) -> int:
-    surface = fu.load_surface(cfg.surface)
+    surface = fu.bolza()
     s = de.DEFAULT_S_FACTOR * surface.entropy_h
     ball = fu.enumerate_ball(surface, cfg.radius)
     rep_t = de.check_transformation(surface, hg.ORIGIN,
@@ -276,7 +282,7 @@ def cmd_density(cfg: RunConfig) -> int:
 
 
 def cmd_mme(cfg: RunConfig) -> int:
-    surface = fu.load_surface(cfg.surface)
+    surface = fu.bolza()
     domain = FundamentalDomain(surface)
     ball = fu.enumerate_ball(surface, cfg.radius)
     density = de.ps_density(surface, hg.ORIGIN,
@@ -310,11 +316,10 @@ def cmd_mme(cfg: RunConfig) -> int:
 
 
 def cmd_cube(cfg: RunConfig) -> int:
-    surface = fu.load_surface(cfg.surface)
-    domain = FundamentalDomain(surface)
-    t = max(cfg.t_grid)
-    if t > cfg.radius:
-        raise ConfigError("t exceeds the spectrum radius")
+    t, *more = cfg.t
+    if more or t > cfg.radius:
+        raise ConfigError("cube reads one t, at most the spectrum radius")
+    domain = FundamentalDomain(fu.bolza())
     table, _, _ = cached_spectrum(cfg)
     b1 = cfg.phase_box() or _default_box(domain, cfg.seed)
     b2 = _default_box(domain, cfg.seed + 1)
@@ -363,7 +368,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     Scaled-down versions of the acceptance checks (the full-size battery
     lives in the test suite); byte-identical reports for a fixed seed.
     """
-    surface = fu.load_surface(cfg.surface)
+    surface = fu.bolza()
     checks = {}
 
     # group sanity
@@ -451,8 +456,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
         < 0.15)
 
     # counting trend at the reduced horizon
-    rep = dy.counting_suite(table, [5.0, 6.0], cfg.epsilon,
-                            h=surface.entropy_h)
+    rep = dy.counting_suite(table, [5.0, 6.0], 0.5)
     checks["counting_ratio_sane"] = bool(
         0.5 < rep.cumulative[-1].ratio < 2.0)
 
@@ -467,7 +471,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
         abs(rc.u_unstable - 1.0) < 1e-6 and abs(rc.u_stable + 1.0) < 1e-6)
 
     passed = all(checks.values())
-    payload = {"surface": cfg.surface, "seed": cfg.seed,
+    payload = {"surface": surface.name, "seed": cfg.seed,
                "checks": checks, "passed": passed}
     _write_json(os.path.join(cfg.out, "verify_all_report.json"), payload)
     print(json.dumps(payload, sort_keys=True))
@@ -485,22 +489,22 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # usage errors follow the JSON contract
+        raise ConfigError(message)
+
+
 def make_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="geodlab",
         description="Desk-scale lab for geodesic flows on hyperbolic surfaces")
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--surface")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--t", help="comma-separated t grid (cube uses only "
-                   "its largest t)")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--box", help="x,y,theta,position_radius,angle_halfwidth")
-    p.add_argument("--out")
-    p.add_argument("--cache-dir", dest="cache_dir")
+    hints = {"t": "comma-separated t grid (one t for cube)",
+             "box": "x,y,theta,position_radius,angle_halfwidth"}
+    for key, kind in TYPES.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind,
+                       help=hints.get(key))
     return p
 
 
@@ -511,8 +515,8 @@ def _fail(kind, message, code):
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         cfg = build_config(args)
         os.makedirs(cfg.out, exist_ok=True)
         return COMMANDS[args.command](cfg)

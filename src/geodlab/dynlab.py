@@ -146,26 +146,28 @@ class CountingReport:
     cumulative: list[CountingRow]    # P_t vs e^{ht}/(ht)
     triangle: list[CountingRow]      # N(B,t) vs 2 e^{ht} m(B)
     crossings: list[CountingRow]     # mean box time / eps vs m(B) t / eps
-    empirical_slope: float           # d ln(t P_t)/dt diagnostic
+    empirical_slope: float | None    # d ln(t P_t)/dt diagnostic
     box_measure: float | None = None
 
 
 def counting_suite(table: fu.SpectrumTable, t_grid, eps: float, *,
-                   h: float = 1.0,
                    domain: FundamentalDomain | None = None,
                    box: PhaseBox | None = None,
                    box_measure: float | None = None) -> CountingReport:
     """The paper's counting laws on the finite spectrum.
 
-    h is the surface entropy used in the predicted laws.  With a box, the
-    triangle and crossing rows measure the exact box time tau_B(c) of every
-    class c in the window t - eps < l(c) <= t + eps: the triangle row's
-    N(B, t) is (t / eps) sum tau_B(c) / l(c), the crossing row's mean
-    tau_B / eps.  A box needs domain and box_measure.
+    The predicted laws use the entropy h of the table's surface.  The
+    empirical slope is fitted over the grid points with P_t > 0 and is None
+    when fewer than two remain.  With a box, the triangle and crossing rows
+    measure the exact box time tau_B(c) of every class c in the window
+    t - eps < l(c) <= t + eps: the triangle row's N(B, t) is
+    (t / eps) sum tau_B(c) / l(c), the crossing row's mean tau_B / eps.
+    A box needs domain and box_measure.
     """
     if box is not None and (domain is None or box_measure is None):
         raise InvalidConfigurationError(
             "a counting box needs domain and box_measure")
+    h = table.surface.entropy_h
     t_grid = [float(t) for t in t_grid]
     window, cumulative, triangle, crossings = [], [], [], []
     for t in t_grid:
@@ -187,8 +189,8 @@ def counting_suite(table: fu.SpectrumTable, t_grid, eps: float, *,
                 t, float(tau[win].mean()) / eps if win.any() else 0.0,
                 box_measure * t / eps))
     # diagnostic slope of ln(t P_t) over the grid (expected h)
-    ts = np.array(t_grid)
-    lp = np.log([r.observed * r.t for r in cumulative])
-    slope = float(np.polyfit(ts, lp, 1)[0]) if len(ts) > 1 else math.nan
+    ts = np.array([r.t for r in cumulative if r.observed > 0])
+    lp = np.log([r.observed * r.t for r in cumulative if r.observed > 0])
+    slope = float(np.polyfit(ts, lp, 1)[0]) if len(ts) > 1 else None
     return CountingReport(eps, h, window, cumulative, triangle, crossings,
                           slope, box_measure)

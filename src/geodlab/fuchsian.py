@@ -293,16 +293,6 @@ def _validated(s: SurfaceModel) -> SurfaceModel:
     return s
 
 
-PRESETS = {"bolza": bolza}
-
-
-def load_surface(name) -> SurfaceModel:
-    """Build and validate a preset surface by name."""
-    if not isinstance(name, str) or name not in PRESETS:
-        raise BadSurfaceError(f"unknown surface preset {name!r}")
-    return PRESETS[name]()
-
-
 # ---------------------------------------------------------------------------
 # word utilities
 
@@ -334,8 +324,9 @@ class Ball:
 
     Storage covers the pruned search region (displacement <= radius +
     c_prune); ``inside`` masks the contractual ball.  ``rows`` holds each
-    element exactly, ``a`` and ``b`` are its float view.  Words are
-    recovered by climbing parent pointers.
+    element exactly, ``a`` and ``b`` are its float view, formed on first use
+    (a spectrum build never reads them).  Words are recovered by climbing
+    parent pointers.
     """
 
     def __init__(self, surface, radius, c_prune, index, disp, parent, letter):
@@ -344,12 +335,18 @@ class Ball:
         self.c_prune = c_prune
         self._index = index
         self.rows = index.rows
-        self.a, self.b = ring_to_ab(self.rows)
         self.disp = disp
         self.parent = parent
         self.letter = letter
         self.inside = disp <= radius
         self._by_trace = None
+
+    @cached_property
+    def _ab(self):
+        return ring_to_ab(self.rows)
+
+    a = property(lambda self: self._ab[0])
+    b = property(lambda self: self._ab[1])
 
     @property
     def size(self) -> int:
@@ -800,10 +797,6 @@ class SpectrumTable:
             classes.append(SpectrumRow(word, tr, ell, prim, gid))
         return cls(surface, cutoff, tuple(classes), meta)
 
-    @property
-    def surface_name(self) -> str:
-        return self.surface.name
-
     @cached_property
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         """(attracting, repelling) axis endpoints of every class: the fixed
@@ -840,21 +833,20 @@ class SpectrumTable:
                             int(c.primitive), c.group_id])
         if meta_path is not None:
             with open(meta_path, "w") as f:
-                json.dump({"surface": self.surface_name, "cutoff": self.cutoff,
+                json.dump({"surface": self.surface.name, "cutoff": self.cutoff,
                            **self.meta}, f, indent=2, sort_keys=True)
                 f.write("\n")
 
     @classmethod
     def load(cls, csv_path, meta_path):
-        """Reload a saved table; the meta must name a preset surface."""
+        """Reload a saved table; the meta must name the Bolza surface."""
         with open(meta_path) as f:
             meta = json.load(f)
-        try:
-            surface = load_surface(meta.pop("surface", None))
-            cutoff = float(meta.pop("cutoff"))
-        except (BadSurfaceError, KeyError) as e:
+        surface = bolza()
+        if meta.pop("surface", None) != surface.name or "cutoff" not in meta:
             raise SpectrumInconsistencyError(
-                f"{meta_path} names no preset surface and cutoff ({e})") from e
+                f"{meta_path} names no Bolza surface and cutoff")
+        cutoff = float(meta.pop("cutoff"))
         with open(csv_path, newline="") as f:
             r = csv.reader(f)
             header = next(r, None)

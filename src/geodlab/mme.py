@@ -117,7 +117,7 @@ def random_box(domain: FundamentalDomain, rng, *, position_radius=0.35,
         raise InvalidConfigurationError("box too large for the domain")
     while True:
         z = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * math.tanh(max_center / 2)
-        if hg.dist_z(z, 0j) <= max_center and domain.contains_z(np.array([z]))[0]:
+        if hg.dist_z(z, 0j) <= max_center:    # inside the inscribed disk
             break
     return PhaseBox(hg.PhasePoint(hg.DiskPoint(complex(z)), rng.uniform(0, TWO_PI)),
                     position_radius, angle_halfwidth)

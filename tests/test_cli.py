@@ -5,6 +5,7 @@ import pytest
 
 from geodlab import cli
 from geodlab import fuchsian as fu
+from geodlab import jacobi as ja
 
 
 @pytest.fixture()
@@ -14,6 +15,24 @@ def workdir(tmp_path):
     out.mkdir()
     cache.mkdir()
     return out, cache
+
+
+# the values each command reads, beside the paths --config, --out, --cache-dir
+READS = {"spectrum": {"radius"}, "count": {"radius", "t", "epsilon"},
+         "density": {"radius"}, "mme": {"radius", "samples", "seed", "box"},
+         "cube": {"radius", "t", "samples", "seed", "box"},
+         "rank": {"seed"}, "verify-all": {"seed"}}
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Make any ball, table or rank suite fail: checks must come first."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the configuration was checked")
+
+    for mod, name in ((fu, "enumerate_ball"), (fu, "build_spectrum"),
+                      (ja, "rank_suite")):
+        monkeypatch.setattr(mod, name, fail)
 
 
 def run(args):
@@ -84,8 +103,12 @@ class TestConfig:
         cfgf.write_text("t =\n")
         assert run(["count", "--config", cfgf, "--out", out,
                     "--cache-dir", cache]) == cli.EXIT_CONFIG
-        assert run(["spectrum", "--surface", "foo", "--out", out,
-                    "--cache-dir", cache]) == cli.EXIT_CONFIG
+        # there is one surface, so no --surface flag
+        for name in ("foo", "bolza"):
+            assert run(["spectrum", "--surface", name, "--out", out,
+                        "--cache-dir", cache]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err.strip().splitlines()
+            assert "--surface" in json.loads(err[-1])["message"]
         # non-finite and non-numeric values, from a flag or from the file
         assert run(["spectrum", "--radius", "nan", "--out", out,
                     "--cache-dir", cache]) == cli.EXIT_CONFIG
@@ -105,16 +128,43 @@ class TestConfig:
     @pytest.mark.parametrize("box", ["0,0,0,-1,0.5", "0,0,0,0.3,4"],
                              ids=["radius", "halfwidth"])
     def test_out_of_range_box_is_config_error(self, cmd, box, workdir,
-                                              monkeypatch):
+                                              no_work):
         # the box is checked with the rest of the configuration, before
         # any ball is enumerated or table built
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the box was checked")
-
-        monkeypatch.setattr(fu, "enumerate_ball", no_work)
         out, cache = workdir
-        assert run([cmd, "--radius", "6.5", "--t", "6.0", "--box", box,
+        t = ["--t", "6.0"] if cmd == "cube" else []
+        assert run([cmd, "--radius", "6.5", *t, "--box", box,
                     "--out", out, "--cache-dir", cache]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("cmd,flag", [
+        (cmd, flag) for cmd, reads in READS.items() for flag in
+        ("radius", "t", "epsilon", "samples", "seed", "box")
+        if flag not in reads])
+    def test_unread_flag_is_config_error(self, cmd, flag, workdir, no_work,
+                                         capsys):
+        # a flag the command would ignore is rejected before any work
+        value = {"radius": "6.5", "t": "6.0", "epsilon": "0.5",
+                 "samples": "20000", "seed": "1", "box": "0,0,0,0.3,0.5"}
+        out, cache = workdir
+        assert run([cmd, f"--{flag}", value[flag], "--out", out,
+                    "--cache-dir", cache]) == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and f"--{flag}" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--radius", "abc"], ["spectrum", "--radius"],
+        ["spectrum", "--bogus", "1"], ["bogus"], []])
+    def test_usage_error_is_json_config_error(self, argv, capsys):
+        assert run(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "config"
+        assert captured.out == ""
+
+    def test_cube_reads_one_t(self, workdir, no_work):
+        out, cache = workdir
+        for t in ("6,8", "5,6,6.5"):
+            assert run(["cube", "--radius", "6.5", "--t", t, "--out", out,
+                        "--cache-dir", cache]) == cli.EXIT_CONFIG
 
     def test_mme_writes_its_report(self, workdir):
         out, cache = workdir
@@ -227,8 +277,7 @@ class TestCount:
     def test_byte_identical_reruns(self, workdir):
         out, cache = workdir
         args = ["count", "--radius", "6.5", "--t", "5.0,6.0",
-                "--epsilon", "0.5", "--seed", "4", "--out", out,
-                "--cache-dir", cache]
+                "--epsilon", "0.5", "--out", out, "--cache-dir", cache]
         assert run(args) == 0
         blobs = {n: (out / n).read_bytes()
                  for n in ("count_report.json", "count_cumulative.csv",
@@ -236,6 +285,19 @@ class TestCount:
         assert run(args) == 0
         for n, blob in blobs.items():
             assert (out / n).read_bytes() == blob
+
+    def test_slope_without_two_counts_is_null(self, workdir):
+        # P_t = 0 below the systole (3.06); JSON has no NaN
+        def no_nan(name):
+            raise ValueError(f"{name} in a JSON report")
+
+        out, cache = workdir
+        for grid, finite in (("1,2,6", False), ("6", False), ("1,5,6", True)):
+            assert run(["count", "--radius", "6.5", "--t", grid, "--out", out,
+                        "--cache-dir", cache]) == 0
+            rep = json.loads((out / "count_report.json").read_text(),
+                             parse_constant=no_nan)
+            assert (rep["empirical_slope"] is not None) == finite
 
 
 class TestExitCodes:
@@ -257,6 +319,8 @@ class TestExitCodes:
         assert run(["count", "--out", out, "--cache-dir", cache]) == 0
         assert run(["cube", "--samples", "20000", "--out", out,
                     "--cache-dir", cache]) == 0
+        # cube's t defaults to the largest t of the default grid
+        assert json.loads((out / "cube_report.json").read_text())["t"] == 9.0
 
     def test_passing_command_is_exit_0(self, workdir):
         out, cache = workdir

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -171,6 +172,24 @@ class TestCountingSuite:
     def test_empirical_slope_near_entropy(self, table):
         rep = dl.counting_suite(table, [6.0, 7.0, 8.0], 0.5)
         assert abs(rep.empirical_slope - 1.0) < 0.3
+
+    def test_slope_skips_empty_counts(self, table):
+        # P_t = 0 below the systole: those t drop out of the fit
+        rep = dl.counting_suite(table, [1.0, 6.0, 7.0], 0.5)
+        assert rep.empirical_slope == dl.counting_suite(
+            table, [6.0, 7.0], 0.5).empirical_slope
+        for grid in ([1.0, 2.0, 6.0], [6.0]):
+            assert dl.counting_suite(table, grid, 0.5).empirical_slope is None
+
+    def test_laws_use_the_table_entropy(self, table):
+        h2 = dataclasses.replace(
+            table, surface=dataclasses.replace(table.surface, entropy_h=2.0))
+        rep = dl.counting_suite(h2, [6.0, 7.0], 0.5)
+        assert rep.h == 2.0
+        for row in rep.cumulative:
+            assert row.predicted == math.exp(2.0 * row.t) / (2.0 * row.t)
+        for row in rep.window:
+            assert row.predicted == 2.0 * 0.5 * math.exp(2.0 * row.t) / row.t
 
     def test_box_rows_present_with_box(self, domain, table, big_boxes):
         b = big_boxes[0]

@@ -68,16 +68,7 @@ class TestSurfaceModel:
             g = bolza.generator(l) @ bolza.generator(l + 1)
             assert abs(g.a - 1) < 1e-10 and abs(g.b) < 1e-10
 
-    def test_load_surface_preset_and_dict(self, bolza):
-        assert fu.load_surface("bolza").name == "bolza"
-        # only presets are in the exact ring; a mapping is rejected cleanly
-        cfg = {"name": "bolza-copy", "relator": list(bolza.relator)}
-        with pytest.raises(BadSurfaceError):
-            fu.load_surface(cfg)
-
     def test_bad_surface_rejected(self, bolza):
-        with pytest.raises(BadSurfaceError):
-            fu.load_surface("noSuchSurface")
         with pytest.raises(BadSurfaceError):
             fu._validated(dataclasses.replace(bolza, relator=(0, 2, 4, 6)))
         swapped = bolza.ring[[1, 0, 2, 3, 4, 5, 6, 7]]
@@ -476,7 +467,7 @@ class TestSpectrum:
         jsonp = tmp_path / "spec.json"
         spectrum6.save(csvp, jsonp)
         tab2 = fu.SpectrumTable.load(csvp, jsonp)
-        assert tab2.surface_name == spectrum6.surface_name
+        assert tab2.surface.name == spectrum6.surface.name
         assert tab2.cutoff == spectrum6.cutoff
         assert len(tab2.classes) == len(spectrum6.classes)
         for c1, c2 in zip(spectrum6.classes, tab2.classes):
