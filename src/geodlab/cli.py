@@ -28,7 +28,7 @@ from . import jacobi as ja
 from . import mme
 from .errors import (ConfigError, DegenerateMeasureError, GeodlabError,
                      IntegrationError, InvalidConfigurationError,
-                     NumericDegeneracyError)
+                     NumericDegeneracyError, OutOfRangeError)
 from .quotient import FundamentalDomain
 
 EXIT_ACCEPTANCE = 1
@@ -520,7 +520,7 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         os.makedirs(cfg.out, exist_ok=True)
         return COMMANDS[args.command](cfg)
-    except ConfigError as e:
+    except (ConfigError, OutOfRangeError) as e:
         return _fail("config", str(e), EXIT_CONFIG)
     except (NumericDegeneracyError, DegenerateMeasureError,
             IntegrationError) as e:

@@ -8,20 +8,20 @@ coefficients of alpha and gamma on 1, zeta, zeta^2, zeta^3, and products,
 equality, conjugacy and length ties are integer operations.  Floats are only
 views for the geometry: ``Ball.a``, ``Ball.b``, displacements and axes.
 
-The orbit ball is a pruned breadth-first search over the Cayley graph, one
-integer product per letter and level, deduplicated through sorted 64-bit
-row hashes with a full-row check on every hash hit.  Each level is expanded
-in blocks of ``BFS_BLOCK_ROWS`` frontier rows that keep only the candidates
-within the cutoff, so memory follows the stored rows rather than the
-all-letter candidates.  Conjugacy classes are the connected components of
-the stored elements under conjugation by single generators, cross-validated
-against an independent cyclic-word canonicalization on small lengths.  That
-canonicalization searches relator substitutions through one move table per
-relator, (k, u, inverse(v)) for every rotation u v, matched with
-``bytes.find``; a build searches each distinct start word once.  The table
-is columnar; each class's axis is that of the rotation of its canonical word
-of least exact displacement, multiplied out in one batch, so a built table
-and its reload agree bit for bit.
+The orbit ball is a breadth-first search over the Cayley graph, pruned by a
+proven bound, one integer product per letter and level, deduplicated through
+sorted 64-bit row hashes with a full-row check on every hash hit.  Each level
+is expanded in blocks of ``BFS_BLOCK_ROWS`` frontier rows that keep only the
+candidates within the cutoff, so memory follows the stored rows.  Conjugacy
+classes are labelled on the elements whose axis meets the inscribed disk of
+the octagon F, joined by exact conjugation, and cross-validated against an
+independent cyclic-word canonicalization on small lengths.  That searches
+relator substitutions through one move table per relator, (k, u,
+inverse(v)) for every rotation u v, matched with ``bytes.find``; a build
+searches each distinct start word once.  The table is columnar; each
+class's axis is that of the rotation of its canonical word of least exact
+displacement, multiplied out in one batch, so a built table and its reload
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ LETTER_NAMES = "aAbBcCdDeEfF"  # letter 2k = generator k, 2k+1 = its inverse
 SQRT2 = math.sqrt(2.0)
 BETA = math.sqrt(2.0 + 2.0 * SQRT2)
 BETA2 = np.array([2, 2, 0, -2])          # beta^2 = 2 + 2 sqrt 2, sqrt 2 = zeta - zeta^3
+# the regular octagon F: inradius half the generator displacement, cosh =
+# 1 + sqrt 2; circumradius by the triangle (apothem, half-side, vertex)
+INRADIUS = math.acosh(1.0 + SQRT2)
+CIRCUMRADIUS = math.atanh(math.tanh(INRADIUS) / math.cos(math.pi / 8.0))
 IDENTITY = np.array([1, 0, 0, 0, 0, 0, 0, 0])
 # odd multipliers of the row hash; any collision is caught by a row check
 _HASH = np.array([-1595899065556913669, 4494335611049888189, -1672097382897533453,
@@ -114,10 +118,15 @@ def _letter_products(rows, letters, right):
     return out
 
 
-def _conjugation_matrices(ring):
-    """(n, 8, 8) integer matrices C with row @ C[l] = g_l row g_l^-1."""
-    left = ring_compose(ring[:, None, :], np.eye(8, dtype=np.int64))
-    return ring_compose(left, ring[np.arange(len(ring)) ^ 1, None, :])
+def _inverse_rows(rows):
+    """Inverse (conj(alpha), -gamma) of each unit-determinant row."""
+    return np.concatenate([_zconj(rows[..., :4]), -rows[..., 4:]], axis=-1)
+
+
+def _conjugation_matrices(rows):
+    """(n, 8, 8) integer matrices C with g @ C[k] = rows[k] g rows[k]^-1."""
+    left = ring_compose(rows[:, None, :], np.eye(8, dtype=np.int64))
+    return ring_compose(left, _inverse_rows(rows)[:, None, :])
 
 
 def least_displacement(rows, group):
@@ -262,13 +271,9 @@ def bolza() -> SurfaceModel:
         ring[2 * k:2 * k + 2, 4 + k] = (1, -1)
     # g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 closes to the identity
     relator = (0, 3, 4, 7, 1, 2, 5, 6)
-    # Dirichlet octagon: inradius = half the generator displacement,
-    # circumradius from the right triangle (apothem, half-side, vertex)
-    inradius = math.acosh(a0)
-    circum = math.atanh(math.tanh(inradius) / math.cos(math.pi / 8.0))
     return _validated(SurfaceModel(
         name="bolza", gen_a=ga, gen_b=gb, ring=ring, relator=relator,
-        entropy_h=1.0, domain_diameter=2.0 * circum))
+        entropy_h=1.0, domain_diameter=2.0 * CIRCUMRADIUS))
 
 
 def _validated(s: SurfaceModel) -> SurfaceModel:
@@ -280,8 +285,7 @@ def _validated(s: SurfaceModel) -> SurfaceModel:
     if max(np.abs(a - s.gen_a).max(), np.abs(b - s.gen_b).max()) > 1e-12:
         raise BadSurfaceError("generator matrices differ from their ring form")
     g = s.ring[0::2]
-    inv = np.concatenate([_zconj(g[:, :4]), -g[:, 4:]], axis=1)
-    if not np.array_equal(s.ring[1::2], inv):
+    if not np.array_equal(s.ring[1::2], _inverse_rows(g)):
         raise BadSurfaceError("letter 2k+1 is not the inverse of letter 2k")
     if (np.abs(ring_trace(g)) <= 2.0).any():
         raise BadSurfaceError("a generator is not hyperbolic")
@@ -323,16 +327,15 @@ class Ball:
     """All group elements with displacement <= radius, with word recovery.
 
     Storage covers the pruned search region (displacement <= radius +
-    c_prune); ``inside`` masks the contractual ball.  ``rows`` holds each
-    element exactly, ``a`` and ``b`` are its float view, formed on first use
-    (a spectrum build never reads them).  Words are recovered by climbing
+    DEFAULT_C_PRUNE); ``inside`` masks the contractual ball.  ``rows`` holds
+    each element exactly, ``a`` and ``b`` are its float view, formed on first
+    use (a spectrum build never reads them).  Words are recovered by climbing
     parent pointers.
     """
 
-    def __init__(self, surface, radius, c_prune, index, disp, parent, letter):
+    def __init__(self, surface, radius, index, disp, parent, letter):
         self.surface = surface
         self.radius = radius
-        self.c_prune = c_prune
         self._index = index
         self.rows = index.rows
         self.disp = disp
@@ -383,30 +386,34 @@ class Ball:
 
 
 DEFAULT_HARD_CAP = 16.0
-# Completeness margin for the BFS pruning: prefixes of a shortlex word for an
-# element of displacement <= R fellow-travel the geodesic [o, g o].  The
-# default is validated against unpruned exhaustive search (see tests) and by
-# prune-stability; it is far cheaper than the worst-case bound through the
-# full Dirichlet diameter.
-DEFAULT_C_PRUNE = 2.0
+FLOAT_PAD = 1e-9           # slack against float rounding at a proven cutoff
+DEFAULT_C_PRUNE = CIRCUMRADIUS - INRADIUS + FLOAT_PAD   # see enumerate_ball
 BFS_BLOCK_ROWS = 1 << 14   # frontier rows expanded at once within a BFS level
 MAX_BALL_ELEMENTS = 30_000_000   # stored rows after which a BFS gives up
 
 
-def enumerate_ball(surface: SurfaceModel, R: float, *,
-                   c_prune: float = DEFAULT_C_PRUNE) -> Ball:
-    """Pruned BFS over the Cayley graph, deduplicated by exact element."""
+def enumerate_ball(surface: SurfaceModel, R: float) -> Ball:
+    """The elements g with d(o, go) <= R: a BFS over the Cayley graph cut to
+    displacement R + DEFAULT_C_PRUNE, deduplicated by exact element.
+
+    The BFS stores the identity's component of the cut graph, which holds
+    g: walk the tiles that [o, go] crosses, consecutive ones differing by a
+    letter (at a vertex, go round it).  A point p of [o, go] in a tile
+    gamma F != gF has d(p, go) >= rho = INRADIUS, as the open rho-disk about
+    go lies in gF; so d(o, gamma o) <= d(o, p) + r_c <= R - rho + r_c, r_c
+    = CIRCUMRADIUS.  The slack is FLOAT_PAD, against float rounding.
+    """
     if R > DEFAULT_HARD_CAP:
         raise OutOfRangeError(
             f"R = {R} exceeds the hard cap {DEFAULT_HARD_CAP}")
-    parts = _orbit_bfs(surface, R + c_prune, c_prune=c_prune)
-    return Ball(surface, R, c_prune, *parts)
+    parts = _orbit_bfs(surface, R + DEFAULT_C_PRUNE, c_prune=DEFAULT_C_PRUNE)
+    return Ball(surface, R, *parts)
 
 
 def brute_force_ball(surface: SurfaceModel, max_word_len: int) -> Ball:
     """Exhaustive word search without displacement pruning (test oracle)."""
     index, d, parent, letter = _orbit_bfs(surface, math.inf, max_levels=max_word_len)
-    return Ball(surface, float(d.max()), 0.0, index, d, parent, letter)
+    return Ball(surface, float(d.max()), index, d, parent, letter)
 
 
 def _orbit_bfs(surface, cutoff, *, max_levels=math.inf, c_prune=0.0):
@@ -606,8 +613,7 @@ def canonical_class(word, surface):
     longer than the current minimum; the substitution moves are symmetric on
     raw words, whereas eager Dehn reduction is not confluent and can
     disconnect the search.  Returns the lexicographically least rotation of the
-    shortest words found.  Idempotent and conjugation invariant on
-    desk-scale words; validated against the axis pipeline.
+    shortest words found; ``_cross_validate_words`` checks it on builds.
     """
     return _class_search(_start_word(word, surface), surface)
 
@@ -638,7 +644,7 @@ def _class_search(w0, surface):
 
 
 # ---------------------------------------------------------------------------
-# conjugacy classes: components of the conjugation graph on the stored ball
+# conjugacy classes, labelled on the axes through the inscribed disk
 
 def _canonical_of(surface, ball, i, memo):
     """``canonical_class`` of stored element i's word, searched once per
@@ -649,66 +655,57 @@ def _canonical_of(surface, ball, i, memo):
     return memo[w0]
 
 
-def _conjugation_graph(surface, ball, max_length):
-    """(node, dst): the ball positions of the stored hyperbolic elements of
-    length <= max_length, and dst[i, l], the node of g_l M g_l^-1 for node
-    i = M, or i where that conjugate is not stored.
+def _near_axes(ball, max_length):
+    """Ball positions of S, ascending: the hyperbolic elements of length <=
+    max_length whose axis passes within INRADIUS of o.
 
-    Only the even letters are looked up: conjugation by l^-1 undoes l, so
-    column l^1 is column l's found edges reversed.
+    cosh^2 d(o, axis) = 4|b|^2 / (t^2 - 4), t = m + n sqrt 2, |b|^2 = (2 + 2
+    sqrt 2)|gamma|^2: 4|b|^2 <= (3 + 2 sqrt 2)(t^2 - 4) is a sign in Z[sqrt 2],
+    so the lines of the tiling's 1-skeleton, at exactly INRADIUS, are members.
     """
     length = trace_length(ring_trace(ball.rows))
     node = np.nonzero((length > 0.0) & (length <= max_length))[0]
-    del length                  # 8 B per stored row, not needed below
-    ids = np.arange(len(node))
-    at = np.full(len(ball.rows), -1, dtype=np.int64)
-    at[node] = ids
-    dst = np.empty((len(node), surface.n_letters), dtype=np.int64)
-    conj = _conjugation_matrices(surface.ring)
-    for l in range(0, surface.n_letters, 2):
-        # a stored conjugate has the same trace, so it is a node too
-        j = ball.find(ball.rows[node] @ conj[l])
-        hit = j >= 0
-        src, tgt = ids[hit], at[j[hit]]
-        dst[:, l] = dst[:, l ^ 1] = ids
-        dst[src, l] = tgt
-        dst[tgt, l ^ 1] = src
-    return node, dst
+    r = ball.rows[node].astype(np.int64)
+    m, n = 2 * r[:, 0], r[:, 1] - r[:, 3]
+    g = r[:, 4:]                                # |gamma|^2 = p + q sqrt 2
+    p, q = (g * g).sum(1), (g[:, :3] * g[:, 1:]).sum(1) - g[:, 0] * g[:, 3]
+    u, v = m * m + 2 * n * n - 4, 2 * m * n              # t^2 - 4 = u + v sqrt 2
+    x, y = 3 * u + 4 * v - 8 * p - 16 * q, 2 * u + 3 * v - 8 * p - 8 * q
+    return node[np.where(x >= 0, (y >= 0) | (x * x >= 2 * y * y),
+                         (y > 0) & (2 * y * y >= x * x))]
 
 
 def conjugacy_classes(surface, ball: Ball, max_length, memo=None):
-    """Group ball elements with translation length <= max_length into classes.
+    """Group the elements of S (see ``_near_axes``) into conjugacy classes.
 
-    The nodes are the stored hyperbolic elements of length <= max_length;
-    letter l joins M to g_l M g_l^-1 when both are stored.  Letter l^-1
-    undoes l, so the edges are symmetric, and minimum labels spread over
-    each connected component (with pointer jumping) until they settle.  A
-    class is a component that meets ``ball.inside``; its representative is
-    the inside member of least displacement, the first stored on ties.
-    ``memo`` holds the canonical words of one build (see ``_canonical_of``).
-
-    Returns (words, class_of, reps): the canonical word of each class,
-    the class index of each stored element (or -1), and the ball position
-    of each class's representative.
+    Edges join g to delta^-1 g delta in S for the 104 delta with 0 < d(o,
+    delta o) <= 4 INRADIUS, which connect each class (see ``build_spectrum``);
+    minimum labels spread over them, with pointer jumping, until they settle.
+    A class's member of least displacement, first stored on ties, represents
+    it; ``memo`` holds the canonical words of one build (``_canonical_of``).
+    Returns (words, class_of, reps): each class's canonical word, each stored
+    element's class (-1 outside S), and each representative's ball position.
     """
-    node, dst = _conjugation_graph(surface, ball, max_length)
-    lab = np.arange(len(node))
-    while True:
-        nxt = np.minimum(lab, lab[dst].min(axis=1))
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, lab):
-            break
-        lab = nxt
-
-    inside = ball.inside[node]
-    roots, cid = np.unique(lab[inside], return_inverse=True)
+    node = _near_axes(ball, max_length)
+    rows = ball.rows[node].astype(np.int64)
+    index = _RowIndex(rows)
+    steps = np.nonzero(ball.disp <= 4.0 * INRADIUS + FLOAT_PAD)[0][1:]  # skip the identity
+    # delta^-1 reverses the edges of delta: look up one of each pair
+    steps = steps[steps < ball.find(_inverse_rows(ball.rows[steps]))]
+    edges = []
+    for c in _conjugation_matrices(ball.rows[steps].astype(np.int64)):
+        j = index.find(rows @ c)
+        edges.append(np.stack([np.nonzero(j >= 0)[0], j[j >= 0]]))
+    src, dst = np.concatenate(edges + [e[::-1] for e in edges], axis=1)
+    lab, prev = np.arange(len(node)), None
+    while not np.array_equal(lab, prev):
+        prev, lab = lab, lab.copy()
+        np.minimum.at(lab, src, prev[dst])
+        lab = lab[lab]
+    cid = np.unique(lab, return_inverse=True)[1]
     class_of = np.full(len(ball.rows), -1, dtype=np.int64)
-    label_class = np.full(len(node), -1, dtype=np.int64)
-    label_class[roots] = np.arange(len(roots))
-    class_of[node] = label_class[lab]
-
-    mem = node[inside]
-    reps = mem[least_displacement(ball.rows[mem], cid)]
+    class_of[node] = cid
+    reps = node[least_displacement(rows, cid)]
     memo = {} if memo is None else memo
     words = [_canonical_of(surface, ball, int(i), memo) for i in reps]
     if len(set(words)) != len(words):
@@ -721,7 +718,7 @@ def _mark_iterates(ball, reps, class_of, max_length):
     k >= 2, for a class representative r.
 
     r^k shares the axis of r, so whenever its length is within max_length
-    it lies in the stored ball; a missing power means an incomplete ball.
+    it lies in S; a missing power means an incomplete ball.
     """
     primitive = np.ones(len(reps), dtype=bool)
     base = ball.rows[reps].astype(np.int64)
@@ -862,41 +859,45 @@ class SpectrumTable:
         return cls.from_rows(surface, cutoff, rows, meta)
 
 
-DEFAULT_SPECTRUM_MARGIN = 2.0
+SPECTRUM_MARGIN = 2.0 * math.log(1.0 + SQRT2)   # 2 ln cosh(INRADIUS)
 # bump whenever a code change alters what a built table holds
 SPECTRUM_SCHEMA = 3
 
 
-def spectrum_meta(R, *, margin=DEFAULT_SPECTRUM_MARGIN) -> dict:
+def spectrum_meta(R) -> dict:
     """Everything a table built to length R depends on; saved as its meta."""
-    return {"schema": SPECTRUM_SCHEMA, "R": R, "margin": margin,
+    return {"schema": SPECTRUM_SCHEMA, "R": R, "margin": SPECTRUM_MARGIN,
             "c_prune": DEFAULT_C_PRUNE}
 
 
 def build_spectrum(surface: SurfaceModel, R: float, *,
-                   margin: float = DEFAULT_SPECTRUM_MARGIN,
                    cross_validate_to: float = 8.0,
                    ball: Ball | None = None) -> SpectrumTable:
-    """Build the oriented length spectrum up to length R.
+    """Build the oriented length spectrum up to length R, from a ball of
+    radius max(R + SPECTRUM_MARGIN, 4 rho), rho = INRADIUS.
 
-    A representative whose axis passes within r of the origin has
-    displacement d with sinh(d/2) <= cosh(r) sinh(l/2), so d < l + 2 ln
-    cosh r.  Every class has one whose axis meets the Dirichlet domain,
-    which through the circumradius r = 2.448 only gives l + 3.53: more than
-    the default ``margin`` = 2.  The default rests instead on a covering
-    that is so far only measured, not proven: every geodesic seems to pass
-    within the inradius acosh(1 + sqrt 2) = 1.529 of an orbit point, which
-    gives d < l + 2 ln(1 + sqrt 2) = l + 1.763, as checked on the orbit alone
-    by ``test_geodesics_pass_within_the_inradius_of_an_orbit_point``.  A
-    build at margin 3.575, beyond the circumradius bound, has the same
-    classes (see tests).
+    Every class meets S (see ``_near_axes``), and so does its member of least
+    displacement, whose axis is its nearest to o: the closed disks D(gamma
+    o, rho) touch each side of the tiling at its midpoint, as do those of
+    the tile across, so without the open disks and the midpoints H^2 falls
+    into bounded pieces, one about each vertex, and no geodesic lies in one.
+    A member of S has sinh(d/2) <= cosh rho sinh(l/2), so d <= l +
+    SPECTRUM_MARGIN, with no slack (the extended sides of F attain rho).
+    Take the disks that axis(g) meets, in order along it: the gap between
+    two consecutive ones lies in one vertex piece, within rho of its vertex
+    (the half-side of F: cosh = cosh r_c / cosh rho = 1 + sqrt 2).  So their
+    centres gamma_i o are at most 4 rho apart, and the steps delta = gamma_i^-1
+    gamma_(i+1) of ``conjugacy_classes`` (slack FLOAT_PAD) join the class in S.
 
     Class geometry comes from each canonical word's least-displacement
     rotation, one batch for the whole table: a build computes it at once, a
     table reloaded from its CSV on first use, with the same bits.
     """
+    if R + SPECTRUM_MARGIN > DEFAULT_HARD_CAP:
+        raise OutOfRangeError(f"R = {R} exceeds the largest spectrum radius "
+                              f"{DEFAULT_HARD_CAP - SPECTRUM_MARGIN}")
     if ball is None:
-        ball = enumerate_ball(surface, R + margin)
+        ball = enumerate_ball(surface, max(R + SPECTRUM_MARGIN, 4.0 * INRADIUS))
     memo = {}      # canonical words of this build, by start word
     words, class_of, reps = conjugacy_classes(surface, ball, R, memo)
     primitive = _mark_iterates(ball, reps, class_of, R)
@@ -906,15 +907,14 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
         _cross_validate_words(surface, ball, ell, class_of,
                               min(cross_validate_to, R), memo)
     rows = zip(words, tr.tolist(), ell.tolist(), primitive.tolist())
-    table = SpectrumTable.from_rows(surface, R, rows,
-                                    spectrum_meta(R, margin=margin))
+    table = SpectrumTable.from_rows(surface, R, rows, spectrum_meta(R))
     table.axes  # noqa: B018  (the build pays for its own geometry)
     return table
 
 
 def _cross_validate_words(surface, ball, lengths, class_of, up_to, memo):
-    """Check the conjugation partition against canonical cyclic words: each
-    element's own word is canonicalized, searched through the build's
+    """Check the conjugation partition of S against canonical cyclic words:
+    each element's own word is canonicalized, searched through the build's
     ``memo`` (see ``_canonical_of``)."""
     by_word: dict[tuple, set[int]] = {}
     by_class: dict[int, set[int]] = {}

@@ -236,7 +236,7 @@ class TestSpectrumCache:
         assert rep2["cache_hit"] is False
         assert rep2["csv"] == rep["csv"]
         with open(meta_path) as f:
-            assert json.load(f)["margin"] == fu.DEFAULT_SPECTRUM_MARGIN
+            assert json.load(f)["margin"] == fu.SPECTRUM_MARGIN
 
     def test_no_temporary_files_remain(self, workdir):
         out, cache = workdir
@@ -313,6 +313,20 @@ class TestExitCodes:
         assert run(["cube", "--radius", "6.5", "--t", "1.0",
                     "--samples", "5000", "--out", out,
                     "--cache-dir", cache]) == cli.EXIT_ACCEPTANCE
+
+    @pytest.mark.parametrize("cmd,radius", [
+        ("spectrum", "15"), ("count", "15"), ("density", "17"),
+        ("mme", "17"), ("cube", "16")])
+    def test_radius_beyond_the_hard_cap_is_config_error(self, cmd, radius,
+                                                        workdir, capsys):
+        # the hard cap is a range check on the configuration, and its
+        # message names the radius given
+        out, cache = workdir
+        assert run([cmd, "--radius", radius, "--out", out,
+                    "--cache-dir", cache]) == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert f"R = {float(radius)} exceeds" in err["message"]
 
     def test_default_t_grid_fits_the_default_radius(self, workdir):
         out, cache = workdir

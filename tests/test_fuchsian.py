@@ -135,9 +135,13 @@ class TestEnumerateBall:
         slope = np.polyfit(rs, logs, 1)[0]
         assert 0.9 < slope < 1.1
 
-    def test_prune_stability(self, bolza):
-        sizes = {fu.enumerate_ball(bolza, 8.0, c_prune=c).size
-                 for c in (1.0, 2.0, 3.0)}
+    def test_prune_stability(self, bolza, monkeypatch):
+        # the proven pruning margin r_c - rho, without its float pad, and
+        # wider ones give the same ball
+        sizes = set()
+        for c in (fu.CIRCUMRADIUS - fu.INRADIUS, 1.0, 2.0, 3.0):
+            monkeypatch.setattr(fu, "DEFAULT_C_PRUNE", c)
+            sizes.add(fu.enumerate_ball(bolza, 8.0).size)
         assert len(sizes) == 1
 
     def test_words_evaluate_to_matrices(self, bolza, ball10):
@@ -316,8 +320,9 @@ class TestSpectrum:
         assert len(spectrum10.classes) == 2588
 
     def test_classes_equal_components_of_all_eight_conjugations(self, bolza):
-        # the class pass looks up four letters and reverses their edges for
-        # the other four; look up all eight here and label in plain Python
+        # oracle: the components of single-letter conjugation over every
+        # stored element of length <= 6, all eight letters looked up and
+        # labelled in plain Python; on S they are the classes, one to one
         ball = fu.enumerate_ball(bolza, 8.0)
         words, class_of, _ = fu.conjugacy_classes(bolza, ball, 6.0)
         length = fu.trace_length(fu.ring_trace(ball.rows))
@@ -335,33 +340,42 @@ class TestSpectrum:
                 if j >= 0:
                     edges[i].add(j)
                     edges[j].add(i)
-        want = np.full(len(ball.rows), -1)
-        label, n_classes = {}, 0
+        label = {}
         for i in node:                        # ascending ball position
             if i in label:
                 continue
-            comp, stack = [], [i]
-            label[i] = i
+            label[i], stack = i, [i]
             while stack:
-                k = stack.pop()
-                comp.append(k)
-                for m in edges[k] - label.keys():
+                for m in edges[stack.pop()] - label.keys():
                     label[m] = i
                     stack.append(m)
-            if ball.inside[comp].any():
-                want[comp] = n_classes
-                n_classes += 1
-        assert n_classes == len(words) == 96
-        assert np.array_equal(class_of, want)
+        near = fu._near_axes(ball, 6.0).tolist()
+        assert np.nonzero(class_of >= 0)[0].tolist() == near
+        pairs = {(label[i], int(class_of[i])) for i in near}
+        assert len({c for _, c in pairs}) == len(words) == 96
+        assert len({k for k, _ in pairs}) == len(pairs) == 96
+
+    def test_near_axes_equal_the_float_distance(self, bolza):
+        # oracle: the axis with endpoints a half-gap alpha apart passes at
+        # cosh d = 1 / sin(alpha) from o; the exact test admits the ties
+        ball = fu.enumerate_ball(bolza, 10.0 + fu.SPECTRUM_MARGIN)
+        length = fu.trace_length(fu.ring_trace(ball.rows))
+        hyp = np.nonzero((length > 0.0) & (length <= 10.0))[0]
+        xi, eta = hg.axis_endpoints_ab(*fu.ring_to_ab(ball.rows[hyp]))
+        d = np.arccosh(1.0 / np.sin(0.5 * np.abs(np.angle(xi / eta))))
+        near = np.isin(hyp, fu._near_axes(ball, 10.0))
+        tie = np.abs(d - INRADIUS) <= 1e-9
+        assert np.array_equal(near[~tie], d[~tie] < INRADIUS)
+        assert int(tie.sum()) == 48 and near[tie].all()
+        assert int(near.sum()) == 8120
 
     def test_one_canonical_search_per_start_word_and_build(self, bolza,
                                                          monkeypatch):
-        # a build canonicalizes every inside class member (all are below
-        # the cross-validation length here); the searches are one per
-        # distinct start word, and a second build searches them all again
-        ball = fu.enumerate_ball(bolza, 6.0 + fu.DEFAULT_SPECTRUM_MARGIN)
-        length = fu.trace_length(fu.ring_trace(ball.rows))
-        members = np.nonzero(ball.inside & (length > 0.0) & (length <= 6.0))[0]
+        # a build canonicalizes every member of S (all are below the
+        # cross-validation length here); the searches are one per distinct
+        # start word, and a second build searches them all again
+        ball = fu.enumerate_ball(bolza, 6.0 + fu.SPECTRUM_MARGIN)
+        members = fu._near_axes(ball, 6.0)
         starts = {fu._start_word(ball.word_of(int(i)), bolza) for i in members}
         searched = []
         search = fu._class_search
@@ -511,13 +525,30 @@ class TestSpectrum:
         assert calls == [len(loaded.classes)]
         assert loaded == spectrum6
 
-    def test_worst_case_margin_gives_the_same_classes(self, bolza):
+    def test_worst_case_margin_gives_the_same_classes(self, bolza,
+                                                      monkeypatch):
         # 3.575 exceeds l + 2 ln cosh(circumradius) = l + 3.526 for every l,
-        # the margin a representative meeting the domain is sure to need
+        # the margin a representative meeting the domain is sure to need,
+        # and the pruning 2 exceeds r_c - rho
         default = fu.build_spectrum(bolza, 9.0)
-        wide = fu.build_spectrum(bolza, 9.0, margin=3.575)
+        monkeypatch.setattr(fu, "DEFAULT_C_PRUNE", 2.0)
+        wide = fu.build_spectrum(bolza, 9.0,
+                                 ball=fu.enumerate_ball(bolza, 9.0 + 3.575))
         assert len(wide.classes) == len(default.classes)
         assert wide.classes == default.classes
+
+    def test_a_build_enumerates_one_ball_of_the_proven_radius(self, bolza,
+                                                              monkeypatch):
+        radii = []
+        enumerate_ball = fu.enumerate_ball
+
+        def counted(surface, R):
+            radii.append(R)
+            return enumerate_ball(surface, R)
+
+        monkeypatch.setattr(fu, "enumerate_ball", counted)
+        fu.build_spectrum(bolza, 10.0)
+        assert radii == [10.0 + 2.0 * math.log(1.0 + math.sqrt(2.0))]
 
     def test_load_rejects_a_file_that_is_not_a_table(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -545,7 +576,7 @@ class TestSpectrum:
             fu.SpectrumTable.load(csvp, jsonp)
 
     def test_geodesics_pass_within_the_inradius_of_an_orbit_point(self, bolza):
-        # the covering behind build_spectrum's default margin, checked on the
+        # the covering behind build_spectrum's margin, checked on the
         # orbit alone: random geodesics whose closest point to o lies within
         # the circumradius, and the pencil of lines through a vertex of F from
         # the direction of o to that of the next octagon centre, whose middle
