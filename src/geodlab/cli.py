@@ -232,7 +232,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     table, path, hit = cached_spectrum(cfg)
     out = {"cache_hit": hit, "classes": len(table.classes),
            "csv": path, "csv_sha256": _file_sha256(path),
-           "systole": table.systole(), "cutoff": table.cutoff}
+           "systole": table.systole() if table.classes else None,
+           "cutoff": table.cutoff}
     _write_json(os.path.join(cfg.out, "spectrum_report.json"), out)
     print(json.dumps(out, sort_keys=True))
     return 0
@@ -339,6 +340,15 @@ def cmd_cube(cfg: RunConfig) -> int:
     return 0
 
 
+def _constant_curvature_riccati(T):
+    """Riccati solutions along one K = -1 geodesic over horizon T, and
+    whether they reach their limits u = +-1 to within 1e-6."""
+    m1 = ja.load_metric("constant_m1")
+    rc = ja.riccati_subspaces(m1, ja.GeodesicState(0.1, 0.05, 0.3), T)
+    return rc, bool(abs(rc.u_unstable - 1.0) < 1e-6
+                    and abs(rc.u_stable + 1.0) < 1e-6)
+
+
 def cmd_rank(cfg: RunConfig) -> int:
     results = {}
     disagreements = 0
@@ -350,10 +360,7 @@ def cmd_rank(cfg: RunConfig) -> int:
         results[preset] = {"disagreements": res.disagreements,
                            "counts": counts}
         disagreements += res.disagreements
-    m1 = ja.load_metric("constant_m1")
-    rc = ja.riccati_subspaces(m1, ja.GeodesicState(0.1, 0.05, 0.3), 30.0)
-    riccati_ok = (abs(rc.u_unstable - 1.0) < 1e-6
-                  and abs(rc.u_stable + 1.0) < 1e-6)
+    rc, riccati_ok = _constant_curvature_riccati(30.0)
     payload = {"presets": results, "constant_m1_riccati":
                {"u_unstable": rc.u_unstable, "u_stable": rc.u_stable},
                "passed": disagreements == 0 and riccati_ok}
@@ -465,10 +472,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     for preset in sorted(ja.PRESETS):
         disagreements += ja.rank_suite(preset, 25, seed=cfg.seed).disagreements
     checks["rank_suite_agreement"] = bool(disagreements == 0)
-    m1 = ja.load_metric("constant_m1")
-    rc = ja.riccati_subspaces(m1, ja.GeodesicState(0.1, 0.05, 0.3), 20.0)
-    checks["riccati_constant_curvature"] = bool(
-        abs(rc.u_unstable - 1.0) < 1e-6 and abs(rc.u_stable + 1.0) < 1e-6)
+    checks["riccati_constant_curvature"] = _constant_curvature_riccati(20.0)[1]
 
     passed = all(checks.values())
     payload = {"surface": surface.name, "seed": cfg.seed,

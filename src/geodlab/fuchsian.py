@@ -140,7 +140,7 @@ def least_displacement(rows, group):
     """
     absq = _zmul(rows[:, :4], _zconj(rows[:, :4]))
     order = np.lexsort((absq[:, 1], absq[:, 0], group))
-    return order[np.r_[0, np.nonzero(np.diff(group[order]))[0] + 1]]
+    return order[np.diff(group[order], prepend=-1) != 0]
 
 
 def _row_hash(rows):
@@ -889,15 +889,19 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
     centres gamma_i o are at most 4 rho apart, and the steps delta = gamma_i^-1
     gamma_(i+1) of ``conjugacy_classes`` (slack FLOAT_PAD) join the class in S.
 
-    Class geometry comes from each canonical word's least-displacement
-    rotation, one batch for the whole table: a build computes it at once, a
-    table reloaded from its CSV on first use, with the same bits.
+    A given ``ball`` must reach that radius.  Class geometry comes from each
+    canonical word's least-displacement rotation, one batch for the whole
+    table: a build computes it at once, a table reloaded from its CSV on
+    first use, with the same bits.
     """
     if R + SPECTRUM_MARGIN > DEFAULT_HARD_CAP:
         raise OutOfRangeError(f"R = {R} exceeds the largest spectrum radius "
                               f"{DEFAULT_HARD_CAP - SPECTRUM_MARGIN}")
+    radius = max(R + SPECTRUM_MARGIN, 4.0 * INRADIUS)
     if ball is None:
-        ball = enumerate_ball(surface, max(R + SPECTRUM_MARGIN, 4.0 * INRADIUS))
+        ball = enumerate_ball(surface, radius)
+    elif ball.radius < radius - FLOAT_PAD:
+        raise OutOfRangeError(f"ball radius {ball.radius} short of {radius}")
     memo = {}      # canonical words of this build, by start word
     words, class_of, reps = conjugacy_classes(surface, ball, R, memo)
     primitive = _mark_iterates(ball, reps, class_of, R)

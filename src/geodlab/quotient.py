@@ -6,14 +6,13 @@ It is a convex polygon cut out by its sides, so a geodesic meets it in one
 segment, which `FundamentalDomain.clip` gives in closed form.  Geodesics
 come as carriers (a, b), the isometries taking the real diameter onto them;
 a boundary pair (xi, eta) gets its carrier from `hypgeom.pair_carrier_ab`.
-Membership and reduction share one division-free bisector test: the excess
-e of each Dirichlet neighbour over the origin, in blocks of points.
-Reduction is greedy descent over the side-pairing generators, certified
-against the enumerated test-set ball: the bisector test over every test
-element clears the usual case, and the exact sequential pass over the test
-set runs only when it flags a point.  Along a geodesic,
-`FundamentalDomain.tile_segments` reduces one point per translate of F and
-splits the geodesic into exact pieces, each carried into F.
+Membership is one division-free bisector test: the excess e of each
+Dirichlet neighbour over the origin, in blocks of points.  Reduction is
+greedy descent over the side-pairing generators, which ends in F because F
+is cut out by its sides (the proof is at `FundamentalDomain.reduce_z`).
+Along a geodesic, `FundamentalDomain.tile_segments` reduces one point per
+translate of F and splits the geodesic into exact pieces, each carried
+into F.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ MEMBERSHIP_TOL = 1e-9
 TILE_PROBE = 1e-6       # arclength past a piece start that picks its tile
 SIDE_EDGE_TOL = 1e-9    # Klein-model edge length below which a bisector
                         # only touches F at a vertex
-SCREEN_MARGIN = 1e-9    # distance slack of the test-set screen, far above
-                        # the rounding of the excess and distance tests
 MEMBER_MARGIN = 1e-6    # distance margin of the membership screen
 MEMBER_BLOCK = 4096     # points per block of the bisector test
 TEST_SET_PAD = 0.2      # test-set radius beyond the domain diameter
@@ -209,9 +206,23 @@ class FundamentalDomain:
         """Reduce an array of points to F; returns (z_red, a_acc, b_acc).
 
         The accumulated isometry satisfies mobius(a_acc, b_acc, z) = z_red.
-        Greedy descent over the generators, then `_test_set_pass` certifies
-        the result against the full test set; if a test element still
-        improves a point, that move is applied and descent resumes.
+        Greedy descent: each round moves every point by the generator letter
+        that brings it closest to o, if that gains more than the threshold
+        tau = DESCENT_EPS d0 + 1e-15 in distance, d0 = d(z, o).
+
+        Descent over the letters alone ends in F.  F is cut out by the
+        half-planes of its sides, which are the 8 letters.  A point outside
+        F violates some side g, d(g z, o) < d(z, o), so that letter brings
+        it strictly closer to o.  The orbit of z is discrete, so descent
+        stops, at a point that violates no side by more than tau.  Relaxed
+        by tau, a side's half-plane reaches tau / (2 sin phi) beyond it, phi
+        the angle at which the ray from o crosses the side: phi falls from
+        pi/2 at the side's midpoint to pi/8 at a vertex, where that ray
+        bisects the interior angle pi/4, and two relaxed sides meet
+        1 / sin(pi/8) times as far beyond their vertex.  So the result is
+        less than tau / (2 sin^2(pi/8)) ~ 3.4 tau (< 1e-12) from F, the
+        worst case just past a vertex, and no element of the group brings
+        it closer to o by more than twice that.
         """
         z = np.atleast_1d(np.asarray(z, complex))
         acc_a = np.ones(len(z), dtype=complex)
@@ -227,61 +238,12 @@ class FundamentalDomain:
             bestd = dists[np.arange(len(cur)), best]
             move = bestd < d0 * (1.0 - DESCENT_EPS) - 1e-15
             if not move.any():
-                # certify against the full test set; fall back if needed
-                moved = self._test_set_pass(cur, acc_a, acc_b)
-                if not moved:
-                    return cur, acc_a, acc_b
-                continue
+                return cur, acc_a, acc_b
             bl = best[move]
             na, nb = hg.compose_ab(ga[bl], gb[bl], acc_a[move], acc_b[move])
             acc_a[move], acc_b[move] = hg.normalize_ab(na, nb)
             cur[move] = imgs[np.nonzero(move)[0], bl]
         raise ReductionFailureError("descent budget exhausted")
-
-    def _test_set_pass(self, cur, acc_a, acc_b) -> bool:
-        """Apply every improving test element in turn; True if a point moved.
-
-        The exact pass walks the test set in order, moving each point that
-        an element brings closer to o by the descent rule, so it is
-        sequential.  A screen runs first: it flags a point that any test
-        element brings within dist(z, o) + SCREEN_MARGIN of o, a superset of
-        the points the pass's first improving element can move.  While no
-        point is flagged nothing can move, so the pass is skipped and
-        cur, acc_a and acc_b stay untouched.
-        """
-        d0 = hg.dist_z(cur, 0j)
-        if not self._screen(cur, d0):
-            return False
-        moved = False
-        for a, b in zip(self.test_a, self.test_b):
-            w = hg.mobius_apply_z(a, b, cur)
-            better = hg.dist_z(w, 0j) < d0 * (1.0 - DESCENT_EPS) - 1e-15
-            if better.any():
-                na, nb = hg.compose_ab(a, b, acc_a[better], acc_b[better])
-                acc_a[better], acc_b[better] = hg.normalize_ab(na, nb)
-                cur[better] = w[better]
-                d0 = hg.dist_z(cur, 0j)
-                moved = True
-        return moved
-
-    def _screen(self, z, d0) -> bool:
-        """Whether some test element may bring a point of z closer to o.
-
-        With e and u from `_bisector_excess`, g z lies within L of o iff
-        e > u - cosh(L) (1 - |z|^2), a test with no division or arccosh.
-        L is the descent threshold plus SCREEN_MARGIN, so the screen flags
-        every point the exact pass would move.  Such a point is a fixed
-        point of the generator descent, so it lies in F, on its boundary:
-        there 1 - |z|^2 >= 0.29 and d0 is at least the inradius 1.529, so
-        SCREEN_MARGIN is worth at least (1 - |z|^2) sinh(d0) SCREEN_MARGIN
-        >= 6e-10 in units of e.  The rounding of e stays below about 1e-13,
-        as c and |q| are at most cosh 5.1 over the test set.
-        """
-        lim = d0 * (1.0 - DESCENT_EPS) - 1e-15 + SCREEN_MARGIN
-        for blk, worst, u in self._bisector_excess(z, True):
-            if (worst > u - np.cosh(lim[blk]) * (2.0 - u)).any():
-                return True
-        return False
 
     def reduce_phase(self, v: hg.PhasePoint):
         """Reduce a phase point; returns (reduced PhasePoint, Isometry g)

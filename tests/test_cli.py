@@ -256,6 +256,24 @@ class TestSpectrumCache:
         assert abs(table.systole() - rep["systole"]) < 1e-12
 
 
+    def test_radius_below_the_systole_gives_an_empty_table(self, workdir,
+                                                           capsys):
+        # no class is shorter than the systole 3.06; JSON has no Infinity
+        def strict(name):
+            raise ValueError(f"{name} in a JSON report")
+
+        out, cache = workdir
+        for hit in (False, True):
+            assert run(spectrum_args(out, cache, radius="2")) == 0
+            printed = json.loads(capsys.readouterr().out,
+                                 parse_constant=strict)
+            rep = json.loads((out / "spectrum_report.json").read_text(),
+                             parse_constant=strict)
+            assert rep == printed
+            assert rep["cache_hit"] is hit
+            assert rep["classes"] == 0 and rep["systole"] is None
+
+
 class TestCount:
     def test_csv_outputs(self, workdir):
         import csv

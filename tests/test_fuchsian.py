@@ -106,10 +106,11 @@ class TestEnumerateBall:
 
     def test_hash_collisions_do_not_merge_elements(self, bolza, monkeypatch):
         # a hash of the first coefficient alone collides all the time; the
-        # full-row check must still give the same ball and classes
-        exact = fu.enumerate_ball(bolza, 6.0)
+        # full-row check must still give the same ball and classes; an R = 4
+        # build needs the ball to 4 INRADIUS
+        exact = fu.enumerate_ball(bolza, 4.0 * fu.INRADIUS)
         monkeypatch.setattr(fu, "_HASH", np.array([1, 0, 0, 0, 0, 0, 0, 0]))
-        weak = fu.enumerate_ball(bolza, 6.0)
+        weak = fu.enumerate_ball(bolza, 4.0 * fu.INRADIUS)
         assert np.array_equal(weak.rows, exact.rows)
         assert np.array_equal(weak.parent, exact.parent)
         assert len(fu.build_spectrum(bolza, 4.0, ball=weak).classes) == 24
@@ -549,6 +550,21 @@ class TestSpectrum:
         monkeypatch.setattr(fu, "enumerate_ball", counted)
         fu.build_spectrum(bolza, 10.0)
         assert radii == [10.0 + 2.0 * math.log(1.0 + math.sqrt(2.0))]
+
+    def test_a_given_ball_must_reach_the_proven_radius(self, bolza):
+        # an R = 4 build needs the ball to 4 INRADIUS = 6.11
+        with pytest.raises(OutOfRangeError):
+            fu.build_spectrum(bolza, 4.0, ball=fu.enumerate_ball(bolza, 6.0))
+
+    def test_radius_below_the_systole_gives_an_empty_table(self, bolza,
+                                                           tmp_path):
+        table = fu.build_spectrum(bolza, 2.0)
+        assert table.classes == () and table.systole() == math.inf
+        table.save(tmp_path / "spec.csv", tmp_path / "spec.json")
+        loaded = fu.SpectrumTable.load(tmp_path / "spec.csv",
+                                       tmp_path / "spec.json")
+        assert loaded == table and loaded.count_P(2.0) == 0
+        assert all(len(end) == 0 for end in loaded.axes)
 
     def test_load_rejects_a_file_that_is_not_a_table(self, tmp_path):
         bad = tmp_path / "bad.csv"
