@@ -70,7 +70,7 @@ class RunConfig:
     def resolved_cache_dir(self):
         d = self.cache_dir or os.environ.get(CACHE_ENV) or os.path.join(
             self.out, ".geodlab-cache")
-        os.makedirs(d, exist_ok=True)
+        _make_dir(d, "cache")
         return d
 
     def phase_box(self):
@@ -79,6 +79,14 @@ class RunConfig:
         x, y, th, pr, ahw = self.box
         return mme.PhaseBox(hg.PhasePoint(hg.DiskPoint(complex(x, y)), th),
                             pr, ahw)
+
+
+def _make_dir(path, role):
+    """Create a directory; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create {role} directory {path}: {e}") from e
 
 
 def parse_config_file(path) -> dict:
@@ -219,10 +227,24 @@ def _default_box(domain, seed):
     return mme.random_box(domain, np.random.default_rng(seed))
 
 
+def _finite(x):
+    """x, or None where JSON would need NaN or Infinity."""
+    return x if math.isfinite(x) else None
+
+
 def _box_payload(box):
     return {"x": box.center.base.z.real, "y": box.center.base.z.imag,
             "theta": box.center.dir, "position_radius": box.position_radius,
             "angle_halfwidth": box.angle_halfwidth}
+
+
+def _conditional_expansion(surface):
+    """Expansion of the conditional densities at one fixed pair of phase
+    points over a fixed t grid."""
+    v = hg.PhasePoint(hg.DiskPoint(0.1 + 0.2j), 0.7)
+    w = hg.PhasePoint(hg.DiskPoint(-0.2 + 0.05j), 1.9)
+    return mme.verify_expansion(v, w, [-3.0, -1.0, 2.0, 7.0],
+                                surface.entropy_h)
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +320,16 @@ def cmd_mme(cfg: RunConfig) -> int:
                              n_samples=cfg.samples, seed=cfg.seed + 2,
                              norm_samples=max(cfg.samples // 2, 10_000))
     rel = abs(kn.value / liv.value - 1.0) if liv.value else math.inf
-    v = hg.PhasePoint(hg.DiskPoint(0.1 + 0.2j), 0.7)
-    w = hg.PhasePoint(hg.DiskPoint(-0.2 + 0.05j), 1.9)
-    exp_rep = mme.verify_expansion(v, w, [-3.0, -1.0, 2.0, 7.0],
-                                   surface.entropy_h)
+    exp_rep = _conditional_expansion(surface)
     area_ok = abs(area.value - 4.0 * math.pi) < 0.005 * 4.0 * math.pi
     passed = bool(rel < 0.05 and exp_rep.passed and area_ok)
     payload = {"box": _box_payload(box),
-               "estimate": kn.value, "std_error": kn.std_error,
+               "estimate": _finite(kn.value),
+               "std_error": _finite(kn.std_error),
                "samples": kn.samples, "discarded": kn.discarded,
-               "seed": cfg.seed,
-               "liouville": liv.value, "liouville_std_error": liv.std_error,
-               "relative_gap": rel, "domain_area": area.value,
+               "seed": cfg.seed, "liouville": _finite(liv.value),
+               "liouville_std_error": _finite(liv.std_error),
+               "relative_gap": _finite(rel), "domain_area": area.value,
                "expansion_max_error": exp_rep.max_error, "passed": passed}
     _write_json(os.path.join(cfg.out, "mme_report.json"), payload)
     print(json.dumps(payload, sort_keys=True))
@@ -382,7 +402,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     rel = surface.eval_word(surface.relator)
     checks["relator_closes"] = bool(
         abs(rel[0] - 1.0) < 1e-8 and abs(rel[1]) < 1e-8)
-    sys_len = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
+    sys_len = 2.0 * fu.INRADIUS
     checks["generator_lengths"] = bool(all(
         abs(surface.generator(i).displacement() - sys_len) < 1e-9
         for i in range(0, 8, 2)))
@@ -418,12 +438,8 @@ def cmd_verify_all(cfg: RunConfig) -> int:
                                     de.DEFAULT_S_FACTOR, 8.0, 32, ball=ball8)
     checks["transformation_law"] = bool(rep_t.max_rel_dev < 0.05)
 
-    # conditionals
-    v = hg.PhasePoint(hg.DiskPoint(0.1 + 0.2j), 0.7)
-    w = hg.PhasePoint(hg.DiskPoint(-0.2 + 0.05j), 1.9)
-    exp_rep = mme.verify_expansion(v, w, [-3.0, -1.0, 2.0, 7.0],
-                                   surface.entropy_h)
-    checks["conditional_expansion"] = bool(exp_rep.max_error < 1e-9)
+    checks["conditional_expansion"] = bool(
+        _conditional_expansion(surface).max_error < 1e-9)
 
     # mme box vs liouville, reduced scale
     domain = FundamentalDomain(surface)
@@ -437,18 +453,22 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     checks["knieper_vs_liouville_10pct"] = bool(
         abs(kn.value / liv.value - 1.0) < 0.10)
 
-    # dynamics: one period's tile walk closes up in the quotient, and the
-    # full-space normalization
-    _, a, b, length = dy.axis_pieces(domain, table, slice(0, 1))
-    x = np.array([0.0, math.tanh(0.5 * length[-1])]) + 0j
-    ends = hg.mobius_apply_z(a[[0, -1]], b[[0, -1]], x)
-    dirs = hg.mobius_dir_z(a[[0, -1]], b[[0, -1]], x, 0.0)
-    ga = np.append(1.0 + 0j, domain.test_a)
-    gb = np.append(0j, domain.test_b)
+    # dynamics: every class's tile walk over one period closes up in the
+    # quotient, under the identity or a side pairing
+    owner, a, b, length = dy.axis_pieces(domain, table, slice(None))
+    first = np.unique(owner, return_index=True)[1]
+    last = len(owner) - 1 - np.unique(owner[::-1], return_index=True)[1]
+    x = np.tanh(0.5 * length[last]) + 0j
+    ends = hg.mobius_apply_z(a[last], b[last], x)
+    dirs = hg.mobius_dir_z(a[last], b[last], x, 0.0)
+    starts = hg.mobius_apply_z(a[first], b[first], 0j)
+    start_dirs = hg.mobius_dir_z(a[first], b[first], 0j, 0.0)
+    ga = np.append(1.0 + 0j, domain.side_a)[:, None]
+    gb = np.append(0j, domain.side_b)[:, None]
     gap = np.maximum(
-        hg.dist_z(hg.mobius_apply_z(ga, gb, ends[0]), ends[1]),
-        hg.angle_gap(hg.mobius_dir_z(ga, gb, ends[0], dirs[0]), dirs[1]))
-    checks["realized_periodicity"] = bool(gap.min() < 1e-6)
+        hg.dist_z(hg.mobius_apply_z(ga, gb, starts), ends),
+        hg.angle_gap(hg.mobius_dir_z(ga, gb, starts, start_dirs), dirs))
+    checks["realized_periodicity"] = bool(gap.min(axis=0).max() < 1e-6)
     # equidistribution: mu_t of a box inside the inscribed disk against its
     # closed-form Liouville measure sinh^2(r/2) w / pi (ball area
     # 4 pi sinh^2(r/2) over area(F) = 4 pi, angle fraction w / pi).  This
@@ -522,7 +542,7 @@ def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         cfg = build_config(args)
-        os.makedirs(cfg.out, exist_ok=True)
+        _make_dir(cfg.out, "output")
         return COMMANDS[args.command](cfg)
     except (ConfigError, OutOfRangeError) as e:
         return _fail("config", str(e), EXIT_CONFIG)

@@ -16,7 +16,7 @@ import numpy as np
 from . import fuchsian as fu
 from . import hypgeom as hg
 from .errors import InvalidConfigurationError
-from .mme import (MeasureEstimate, PhaseBox, _euclid_enclosing_radius,
+from .mme import (EUCLID_ENCLOSING_RADIUS, MeasureEstimate, PhaseBox,
                   _euclid_uniform)
 from .quotient import FundamentalDomain
 
@@ -52,7 +52,7 @@ def box_times(domain: FundamentalDomain, table: fu.SpectrumTable, rows: slice, b
 
 def _liouville_phase_samples(domain: FundamentalDomain, rng, n: int):
     """Liouville-uniform phase points in T^1 F (area rejection x uniform angle)."""
-    r0 = _euclid_enclosing_radius(domain)
+    r0 = EUCLID_ENCLOSING_RADIUS
     zs = []
     have = 0
     while have < n:

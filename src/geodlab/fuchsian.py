@@ -232,15 +232,10 @@ class SurfaceModel:
     ring: np.ndarray           # (4g, 8) integer
     relator: tuple[int, ...]
     entropy_h: float
-    domain_diameter: float     # diameter bound of the Dirichlet domain
 
     @property
     def n_letters(self) -> int:
         return len(self.gen_a)
-
-    @property
-    def domain_radius(self) -> float:
-        return 0.5 * self.domain_diameter
 
     def generator(self, letter: int) -> hg.Isometry:
         return hg.Isometry(complex(self.gen_a[letter]), complex(self.gen_b[letter]))
@@ -273,7 +268,7 @@ def bolza() -> SurfaceModel:
     relator = (0, 3, 4, 7, 1, 2, 5, 6)
     return _validated(SurfaceModel(
         name="bolza", gen_a=ga, gen_b=gb, ring=ring, relator=relator,
-        entropy_h=1.0, domain_diameter=2.0 * CIRCUMRADIUS))
+        entropy_h=1.0))
 
 
 def _validated(s: SurfaceModel) -> SurfaceModel:

@@ -126,12 +126,8 @@ def random_box(domain: FundamentalDomain, rng, *, position_radius=0.35,
 # ---------------------------------------------------------------------------
 # Liouville oracle
 
-ENCLOSING_EUCLID_RADIUS_PAD = 0.005
-
-
-def _euclid_enclosing_radius(domain: FundamentalDomain) -> float:
-    return (math.tanh(0.5 * domain.surface.domain_radius)
-            + ENCLOSING_EUCLID_RADIUS_PAD)
+# Euclidean radius of a disk enclosing F, padded beyond its vertices
+EUCLID_ENCLOSING_RADIUS = math.tanh(0.5 * fu.CIRCUMRADIUS) + 0.005
 
 
 def _euclid_uniform(rng, n, r0):
@@ -143,7 +139,7 @@ def _area_sample(domain: FundamentalDomain, n_samples, seed):
     """(z, w, in_F): points uniform on the Euclidean disk enclosing F, the
     hyperbolic area density at each, and their membership in F."""
     z = _euclid_uniform(np.random.default_rng(seed), n_samples,
-                        _euclid_enclosing_radius(domain))
+                        EUCLID_ENCLOSING_RADIUS)
     return z, 4.0 / (1.0 - np.abs(z) ** 2) ** 2, domain.contains_z(z)
 
 
@@ -151,7 +147,7 @@ def domain_area(domain: FundamentalDomain, n_samples=400_000, seed=0) -> Measure
     """Hyperbolic area of F by rejection sampling (Gauss-Bonnet oracle 4 pi)."""
     _, w, in_f = _area_sample(domain, n_samples, seed)
     x = np.where(in_f, w, 0.0)
-    r0 = _euclid_enclosing_radius(domain)
+    r0 = EUCLID_ENCLOSING_RADIUS
     euclid_area = math.pi * r0 * r0
     mean, se = x.mean(), x.std(ddof=1) / math.sqrt(n_samples)
     return MeasureEstimate(mean * euclid_area, se * euclid_area, n_samples)

@@ -2,14 +2,15 @@
 
 The fundamental domain F is the Dirichlet domain centered at the disk
 origin: points at least as close to the origin as to any orbit translate.
-It is a convex polygon cut out by its sides, so a geodesic meets it in one
-segment, which `FundamentalDomain.clip` gives in closed form.  Geodesics
-come as carriers (a, b), the isometries taking the real diameter onto them;
-a boundary pair (xi, eta) gets its carrier from `hypgeom.pair_carrier_ab`.
-Membership is one division-free bisector test: the excess e of each
-Dirichlet neighbour over the origin, in blocks of points.  Reduction is
-greedy descent over the side-pairing generators, which ends in F because F
-is cut out by its sides (the proof is at `FundamentalDomain.reduce_z`).
+It is the convex octagon cut out by its 8 sides, which are the generator
+letters, so a geodesic meets it in one segment, which
+`FundamentalDomain.clip` gives in closed form.  Geodesics come as carriers
+(a, b), the isometries taking the real diameter onto them; a boundary pair
+(xi, eta) gets its carrier from `hypgeom.pair_carrier_ab`.  Membership is
+one division-free bisector test: the excess e of each side over the
+origin, in blocks of points.  Reduction is greedy descent over the
+letters, which ends in F because F is cut out by its sides (the proof is
+at `FundamentalDomain.reduce_z`).
 Along a geodesic, `FundamentalDomain.tile_segments` reduces one point per
 translate of F and splits the geodesic into exact pieces, each carried
 into F.
@@ -27,11 +28,8 @@ DESCENT_BUDGET = 10_000
 DESCENT_EPS = 1e-13     # relative decrease required to count as progress
 MEMBERSHIP_TOL = 1e-9
 TILE_PROBE = 1e-6       # arclength past a piece start that picks its tile
-SIDE_EDGE_TOL = 1e-9    # Klein-model edge length below which a bisector
-                        # only touches F at a vertex
 MEMBER_MARGIN = 1e-6    # distance margin of the membership screen
 MEMBER_BLOCK = 4096     # points per block of the bisector test
-TEST_SET_PAD = 0.2      # test-set radius beyond the domain diameter
 
 
 class FundamentalDomain:
@@ -39,74 +37,63 @@ class FundamentalDomain:
 
     F is the convex polygon cut out by its sides: for each side element g
     the half-plane of points at least as close to o as to g^{-1} o.  The
-    sides are the test-set elements whose bisector carries an edge of F of
-    positive length (Beardon, The Geometry of Discrete Groups, 9.4); for
-    the Bolza surface they are the 8 generator letters.
+    sides are the 8 generator letters.  Their half-planes cut out the
+    regular octagon, whose letters pair its sides, so by Poincare's polygon
+    theorem it is a fundamental domain (Beardon, The Geometry of Discrete
+    Groups, 9.8).  It holds the Dirichlet domain (9.4), a fundamental domain
+    of the same area, so the two are equal.
     """
 
     def __init__(self, surface: fu.SurfaceModel):
         self.surface = surface
-        # the bisector of gamma meets F only if displacement(gamma) is at
-        # most the domain diameter, so this test set is already complete
-        ball = fu.enumerate_ball(surface,
-                                 surface.domain_diameter + TEST_SET_PAD)
-        sel = np.nonzero(ball.inside & (ball.disp > 1e-9))[0]
-        a, b = hg.normalize_ab(ball.a[sel], ball.b[sel])
-        self.test_a = a
-        self.test_b = b
+        a, b = hg.normalize_ab(*fu.ring_to_ab(surface.ring))
+        self.side_a, self.side_b = a, b
         # hyperboloid point (c + 1, q) of each neighbour centre g^{-1} o, with
         # the space part q as a complex number; F lies in the half-space
-        # x0 c - Re(x conj q) >= 0 of every test element
-        c = np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0
-        q = -2.0 * b * np.conj(a)
-        side = _edge_lengths(c, q) > SIDE_EDGE_TOL
-        self.side_a = a[side]
-        self.side_b = b[side]
-        self._side_c = c[side]
-        self._side_q = q[side]
-        # membership screen rows (2 Re q, 2 Im q | c), sides and test set
-        rows = np.stack([2.0 * q.real, 2.0 * q.imag, c], axis=1)
-        self._member_rows = {False: rows[side], True: rows}
+        # x0 c - Re(x conj q) >= 0 of every side
+        self._side_c = np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0
+        self._side_q = -2.0 * b * np.conj(a)
+        # membership screen rows (2 Re q, 2 Im q | c)
+        self._member_rows = np.stack([2.0 * self._side_q.real,
+                                      2.0 * self._side_q.imag,
+                                      self._side_c], axis=1)
 
     # -- membership -------------------------------------------------------
 
-    def contains_z(self, z, tol=MEMBERSHIP_TOL, *, full=False):
+    def contains_z(self, z, tol=MEMBERSHIP_TOL):
         """Vectorized Dirichlet membership: no translate is closer to o.
 
         dist(gamma z, o) >= dist(z, o) - tol for every side element, whose
-        half-planes cut out F (or for the whole test set when full=True,
-        the reference the sides are checked against).  A screen on the
-        largest bisector excess e of `_bisector_excess` decides almost every
-        point: as sinh <= cosh, e < -2 m u for every element puts z inside,
-        e > (tol + m) u for one outside, each by a distance margin
-        m = MEMBER_MARGIN.  The distance test decides the rest and points
-        with 1 - |z|^2 < m, so the result is always the distance test's.
+        half-planes cut out F.  A screen on the largest bisector excess e of
+        `_bisector_excess` decides almost every point: as sinh <= cosh,
+        e < -2 m u for every side puts z inside, e > (tol + m) u for one
+        outside, each by a distance margin m = MEMBER_MARGIN.  The distance
+        test decides the rest and points with 1 - |z|^2 < m, so the result
+        is always the distance test's.
         """
         z = np.atleast_1d(np.asarray(z, complex))
         ok, unsure = np.empty((2, len(z)), dtype=bool)
-        for blk, worst, u in self._bisector_excess(z, full):
+        for blk, worst, u in self._bisector_excess(z):
             ok[blk] = worst < -2.0 * MEMBER_MARGIN * u
             unsure[blk] = ~((ok[blk] | (worst > (tol + MEMBER_MARGIN) * u))
                             & (u < 2.0 - MEMBER_MARGIN))
         zu = z[unsure]
         d0 = hg.dist_z(zu, 0j)
         exact = np.ones(len(zu), dtype=bool)
-        ta = self.test_a if full else self.side_a
-        tb = self.test_b if full else self.side_b
-        for a, b in zip(ta, tb):
+        for a, b in zip(self.side_a, self.side_b):
             w = hg.mobius_apply_z(a, b, zu)
             exact &= hg.dist_z(w, 0j) >= d0 - tol
         ok[unsure] = exact
         return ok
 
-    def _bisector_excess(self, z, full):
+    def _bisector_excess(self, z):
         """Per block of MEMBER_BLOCK points of z: (slice, max e, u).
 
         u = 1 + |z|^2, and e = 2 Re(z conj q) - c u is the excess of one
         element gamma, (1 - |z|^2) (cosh d(z, o) - cosh d(gamma z, o)),
-        maximized over the sides (or the whole test set when full=True).
+        maximized over the sides.
         """
-        rows = self._member_rows[full]
+        rows = self._member_rows
         zv = np.ascontiguousarray(z).view(float).reshape(-1, 2)
         for k in range(0, len(z), MEMBER_BLOCK):
             zk = zv[k:k + MEMBER_BLOCK]
@@ -186,20 +173,6 @@ class FundamentalDomain:
             owner, ca, cb, left = owner[go], ca[go], cb[go], left[go]
         return tuple(np.concatenate(col) for col in zip(*pieces))
 
-    def quotient_dist_z(self, z1, z2):
-        """Elementwise quotient distance between points of F.
-
-        Minimum of dist(z1, g z2) over the identity and the test set; exact
-        for pairs of points in (the closure of) F, where the minimizing
-        translate is always a Dirichlet neighbor.
-        """
-        z1 = np.atleast_1d(np.asarray(z1, complex))
-        z2 = np.atleast_1d(np.asarray(z2, complex))
-        best = hg.dist_z(z1, z2)
-        for a, b in zip(self.test_a, self.test_b):
-            best = np.minimum(best, hg.dist_z(z1, hg.mobius_apply_z(a, b, z2)))
-        return best
-
     # -- reduction --------------------------------------------------------
 
     def reduce_z(self, z):
@@ -257,28 +230,3 @@ class FundamentalDomain:
         zr, a, b = self.reduce_z(z)
         tr = hg.mobius_dir_z(a, b, np.asarray(z, complex), np.asarray(theta, float))
         return zr, tr
-
-
-def _edge_lengths(c, q):
-    """Klein-model length of the edge each half-plane contributes to F.
-
-    In the Klein model F is the Euclidean convex polygon of k with
-    Re(k conj q_j) <= c_j.  Line j is clipped to the unit disk and to
-    every other half-plane; a bisector that only touches a vertex of F gets
-    a length of zero up to rounding, possibly negative.
-    """
-    qn = np.abs(q)
-    foot = c / qn * (q / qn)                   # nearest point of line j to o
-    u = 1j * q / qn                            # unit direction of line j
-    half = np.sqrt(1.0 - np.abs(foot) ** 2)
-    # k = foot_j + t u_j meets half-plane i where t * du_ji <= room_ji
-    du = (u[:, None] * np.conj(q[None, :])).real
-    room = c[None, :] - (foot[:, None] * np.conj(q[None, :])).real
-    np.fill_diagonal(du, 0.0)
-    np.fill_diagonal(room, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = room / du
-    t_hi = np.minimum(np.min(np.where(du > 0, t, np.inf), axis=1), half)
-    t_lo = np.maximum(np.max(np.where(du < 0, t, -np.inf), axis=1), -half)
-    parallel_out = ((du == 0) & (room < 0)).any(axis=1)
-    return np.where(parallel_out, -np.inf, t_hi - t_lo)

@@ -39,6 +39,11 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def no_nan(name):
+    """parse_constant for reports: JSON has no NaN or Infinity."""
+    raise ValueError(f"{name} in a JSON report")
+
+
 def spectrum_args(out, cache, radius="6.5"):
     return ["spectrum", "--radius", radius, "--out", out,
             "--cache-dir", cache]
@@ -174,6 +179,43 @@ class TestConfig:
         assert isinstance(rep["passed"], bool)
         assert rc == (0 if rep["passed"] else cli.EXIT_ACCEPTANCE)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("extra", [
+        ["--samples", "1"], ["--samples", "1", "--seed", "3"],
+        ["--samples", "2"], ["--box", "0.99,0,0,0.1,1", "--samples", "1000"]],
+        ids=["one-sample", "one-sample-outside-F", "two-samples",
+             "box-without-mass"])
+    def test_mme_gap_without_liouville_mass_is_null(self, extra, workdir,
+                                                    capsys):
+        # a Liouville value of 0, or NaN when no sample falls in F, leaves
+        # no relative gap, and one sample leaves no standard error: the
+        # report writes null, which is JSON, and the check fails
+        out, cache = workdir
+        assert run(["mme", "--radius", "5", *extra, "--out", out,
+                    "--cache-dir", cache]) == cli.EXIT_ACCEPTANCE
+        printed = json.loads(capsys.readouterr().out, parse_constant=no_nan)
+        rep = json.loads((out / "mme_report.json").read_text(),
+                         parse_constant=no_nan)
+        assert rep == printed
+        assert rep["relative_gap"] is None and rep["passed"] is False
+        if extra[:2] == ["--samples", "1"]:
+            assert rep["liouville_std_error"] is None
+        if "--seed" in extra:
+            assert rep["liouville"] is None
+
+    @pytest.mark.parametrize("flag", ["--out", "--cache-dir"])
+    def test_directory_that_cannot_be_made_is_config_error(self, flag,
+                                                           workdir, no_work,
+                                                           capsys):
+        out, cache = workdir
+        blocker = out / "a_file"
+        blocker.write_text("")
+        paths = {"--out": out, "--cache-dir": cache, flag: blocker}
+        assert run(["spectrum", "--radius", "4",
+                    *(x for kv in paths.items() for x in kv)]) == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and str(blocker) in err["message"]
+
     def test_cache_env_variable(self, workdir, monkeypatch):
         out, cache = workdir
         monkeypatch.setenv(cli.CACHE_ENV, str(cache))
@@ -259,16 +301,13 @@ class TestSpectrumCache:
     def test_radius_below_the_systole_gives_an_empty_table(self, workdir,
                                                            capsys):
         # no class is shorter than the systole 3.06; JSON has no Infinity
-        def strict(name):
-            raise ValueError(f"{name} in a JSON report")
-
         out, cache = workdir
         for hit in (False, True):
             assert run(spectrum_args(out, cache, radius="2")) == 0
             printed = json.loads(capsys.readouterr().out,
-                                 parse_constant=strict)
+                                 parse_constant=no_nan)
             rep = json.loads((out / "spectrum_report.json").read_text(),
-                             parse_constant=strict)
+                             parse_constant=no_nan)
             assert rep == printed
             assert rep["cache_hit"] is hit
             assert rep["classes"] == 0 and rep["systole"] is None
@@ -306,9 +345,6 @@ class TestCount:
 
     def test_slope_without_two_counts_is_null(self, workdir):
         # P_t = 0 below the systole (3.06); JSON has no NaN
-        def no_nan(name):
-            raise ValueError(f"{name} in a JSON report")
-
         out, cache = workdir
         for grid, finite in (("1,2,6", False), ("6", False), ("1,5,6", True)):
             assert run(["count", "--radius", "6.5", "--t", grid, "--out", out,

@@ -34,10 +34,9 @@ def big_boxes(domain):
                            angle_halfwidth=1.2) for _ in range(2)]
 
 
-def full_box(bolza):
-    """A box covering all of T^1 F (position ball beyond the circumradius)."""
-    return mme.PhaseBox(hg.PhasePoint(hg.ORIGIN, 0.0),
-                        0.5 * bolza.domain_diameter + 0.1, math.pi)
+# a box covering all of T^1 F (position ball beyond the circumradius)
+FULL_BOX = mme.PhaseBox(hg.PhasePoint(hg.ORIGIN, 0.0),
+                        fu.CIRCUMRADIUS + 0.1, math.pi)
 
 
 class TestReduceRealize:
@@ -62,24 +61,24 @@ class TestReduceRealize:
         assert (length > 0).all()
         assert np.abs(total - table.length[:40]).max() < 1e-12
 
-    def test_periodicity_in_the_quotient(self, domain, table):
+    def test_periodicity_in_the_quotient(self, domain, table, neighbours):
         # each piece starts where the previous one ends, and the last one
         # ends where the first starts, as points of the quotient
         for i in range(5):
             _, a, b, length = dl.axis_pieces(domain, table, slice(i, i + 1))
             start = b / np.conj(a)
             end = hg.mobius_apply_z(a, b, np.tanh(0.5 * length) + 0j)
-            qd = domain.quotient_dist_z(end, np.roll(start, -1))
+            qd = neighbours.quotient_dist_z(end, np.roll(start, -1))
             assert qd.max() < 1e-6
             # the closed-form flow by one period returns to the start
             v = hg.PhasePoint(hg.DiskPoint(complex(start[0])),
                               float(2.0 * np.angle(a[0])))
             w, _ = domain.reduce_phase(hg.flow(v, table.length[i]))
-            assert domain.quotient_dist_z(np.array([w.base.z]),
-                                          start[:1])[0] < 1e-6
+            assert neighbours.quotient_dist_z(w.base.z,
+                                              start[:1])[0] < 1e-6
 
-    def test_full_box_counts_every_sample(self, bolza, domain, table):
-        tau = dl.box_times(domain, table, slice(0, 30), [full_box(bolza)])[:, 0]
+    def test_full_box_counts_every_sample(self, domain, table):
+        tau = dl.box_times(domain, table, slice(0, 30), [FULL_BOX])[:, 0]
         assert np.abs(tau - table.length[:30]).max() < 1e-12
 
 
@@ -142,8 +141,8 @@ class TestMixing:
 
 
 class TestEquidistribution:
-    def test_full_space_mass_is_one(self, bolza, domain, table):
-        got = dl.equidistribution_stat(table, domain, full_box(bolza), 8.0)
+    def test_full_space_mass_is_one(self, domain, table):
+        got = dl.equidistribution_stat(table, domain, FULL_BOX, 8.0)
         assert abs(got - 1.0) < 1e-12
 
     def test_box_mass_near_liouville(self, domain, table, big_boxes):

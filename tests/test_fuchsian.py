@@ -612,11 +612,11 @@ class TestSpectrum:
             return np.concatenate(out)
 
         rng = np.random.default_rng(11)
-        r = rng.uniform(0.0, bolza.domain_radius, 20_000)
+        r = rng.uniform(0.0, fu.CIRCUMRADIUS, 20_000)
         phi = rng.uniform(0.0, 2.0 * math.pi, 20_000)
         foot = np.tanh(0.5 * r) * np.exp(1j * phi)
         assert nearest(foot, phi + 0.5 * math.pi).max() <= INRADIUS + 1e-9
-        vertex = math.tanh(0.5 * bolza.domain_radius) * np.exp(1j * math.pi / 8.0)
+        vertex = math.tanh(0.5 * fu.CIRCUMRADIUS) * np.exp(1j * math.pi / 8.0)
         pencil = nearest(np.full(13, vertex),
                          math.pi * (1.0 + 1.0 / 8.0 + np.arange(13) / 48.0))
         assert abs(pencil.max() - INRADIUS) < 1e-9

@@ -9,7 +9,7 @@ from geodlab import fuchsian as fu
 from geodlab import hypgeom as hg
 from geodlab import mme
 from geodlab.errors import DegenerateMeasureError, InvalidConfigurationError
-from geodlab.quotient import FundamentalDomain
+from geodlab.quotient import MEMBERSHIP_TOL, FundamentalDomain
 
 FOUR_PI = 4.0 * math.pi
 
@@ -223,28 +223,28 @@ class TestPairGeodesics:
 
 
 class TestExactLength:
-    def test_lengths_match_a_march(self, bolza, domain, shell_density):
+    def test_lengths_match_a_march(self, domain, neighbours, shell_density):
         rng = np.random.default_rng(37)
         xi, eta, _ = mme._sample_pairs(shell_density, rng, 2000)
         ca, cb = hg.pair_carrier_ab(xi, eta)
         exact = mme._trace_weighted_length(domain, None, ca, cb,
                                            np.ones(len(xi)))
-        # midpoint march over the circumscribed disk's chord, full test set
+        # midpoint march over the circumscribed disk's chord, membership
+        # against every Dirichlet neighbour
         step = 0.01
-        n = int(2.0 * bolza.domain_radius / step) + 2
+        n = int(2.0 * fu.CIRCUMRADIUS / step) + 2
         s = (np.arange(-n, n) + 0.5) * step
-        marched = np.empty(len(xi))
-        for k in range(len(xi)):
-            z = hg.mobius_apply_z(ca[k], cb[k],
-                                  np.tanh(0.5 * s).astype(complex))
-            marched[k] = step * domain.contains_z(z, full=True).sum()
+        z = hg.mobius_apply_z(ca[:, None], cb[:, None],
+                              np.tanh(0.5 * s).astype(complex))
+        inside = neighbours.contains_z(z.ravel(), MEMBERSHIP_TOL)
+        marched = step * inside.reshape(z.shape).sum(axis=1)
         assert np.abs(exact - marched).max() < step
         assert (marched > 0).sum() > 500
 
-    def test_geodesics_through_a_vertex(self, bolza, domain):
+    def test_geodesics_through_a_vertex(self, domain):
         # the diagonal through the vertex crosses F in 2 * circumradius;
         # other lines through it cross F briefly or touch it only there
-        r = bolza.domain_radius
+        r = fu.CIRCUMRADIUS
         vertex = math.tanh(r / 2) * np.exp(1j * math.pi / 8)
         xi, eta = [], []
         for theta in math.pi / 8 + np.linspace(0, math.pi, 13):
@@ -335,7 +335,7 @@ class TestKnieperMeasure:
         step = 1e-3
         rng = np.random.default_rng(41)
         xi, eta, _ = mme._sample_pairs(shell_density, rng, 150)
-        r = bolza.domain_radius
+        r = fu.CIRCUMRADIUS
         vertex = complex(math.tanh(r / 2) * np.exp(1j * math.pi / 8))
         for theta in math.pi / 8 + np.linspace(0, math.pi, 13):
             fw, bw = hg.endpoints(hg.PhasePoint(hg.DiskPoint(vertex),
