@@ -329,7 +329,8 @@ def cmd_mme(cfg: RunConfig) -> int:
                "samples": kn.samples, "discarded": kn.discarded,
                "seed": cfg.seed, "liouville": _finite(liv.value),
                "liouville_std_error": _finite(liv.std_error),
-               "relative_gap": _finite(rel), "domain_area": area.value,
+               "relative_gap": _finite(rel),
+               "domain_area": _finite(area.value),
                "expansion_max_error": exp_rep.max_error, "passed": passed}
     _write_json(os.path.join(cfg.out, "mme_report.json"), payload)
     print(json.dumps(payload, sort_keys=True))
@@ -351,9 +352,10 @@ def cmd_cube(cfg: RunConfig) -> int:
     mu_t = dy.equidistribution_stat(table, domain, b1, t)
     payload = {"t": t,
                "box1": _box_payload(b1), "box2": _box_payload(b2),
-               "m1": m1.value, "m2": m2.value,
-               "mixing": corr.value, "mixing_std_error": corr.std_error,
-               "mixing_target": m1.value * m2.value,
+               "m1": _finite(m1.value), "m2": _finite(m2.value),
+               "mixing": _finite(corr.value),
+               "mixing_std_error": _finite(corr.std_error),
+               "mixing_target": _finite(m1.value * m2.value),
                "mu_t_box1": mu_t, "seed": cfg.seed}
     _write_json(os.path.join(cfg.out, "cube_report.json"), payload)
     print(json.dumps(payload, sort_keys=True))

@@ -10,7 +10,7 @@ bins with a mass-based noise floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import DegenerateMeasureError
 TWO_PI = 2.0 * math.pi
 DEFAULT_S_FACTOR = 1.05    # exponent s = 1.05 * h (fixed supercritical proxy)
 MASS_FLOOR = 0.01          # bins below this fraction of total mass are noise
+LAW_TOL = 0.05             # largest relative bin deviation a law check passes
 
 
 @dataclass
@@ -30,8 +31,6 @@ class BoundaryMeasure:
     basepoint: hg.DiskPoint
     atom_u: np.ndarray       # (n,) unit complex atom positions
     weights: np.ndarray      # (n,) nonnegative
-    exponent_s: float
-    truncation_R: float
 
     def __post_init__(self):
         if len(self.atom_u) == 0 or self.weights.sum() <= 0:
@@ -42,11 +41,6 @@ class BoundaryMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    @property
-    def atoms(self):
-        return [(hg.BoundaryPoint(complex(u)), float(w))
-                for u, w in zip(self.atom_u, self.weights)]
 
     def binned(self, n_bins: int) -> np.ndarray:
         """Total mass per uniform angular bin."""
@@ -107,60 +101,46 @@ def ps_density(surface: fu.SurfaceModel, p: hg.DiskPoint, s: float, R: float,
         raise DegenerateMeasureError(f"no nontrivial orbit points within R = {R}")
     orbit, w = _orbit_weights(ball.a, ball.b, sel, p.z, s)
     u = hg.boundary_toward_z(np.full(orbit.shape, p.z), orbit)
-    return BoundaryMeasure(p, u, w, s, R)
+    return BoundaryMeasure(p, u, w)
 
 
 # ---------------------------------------------------------------------------
 # law checks
 
 @dataclass
-class BinComparison:
-    center_angle: float
-    mass_a: float
-    mass_b: float
-    ratio: float | None
-    predicted: float
-    rel_dev: float | None
-    included: bool
-
-
-@dataclass
 class DensityReport:
-    kind: str
     max_rel_dev: float
-    bins: list[BinComparison]
     excluded_bins: int
-    meta: dict = field(default_factory=dict)
+    ratios: np.ndarray       # mass_a / mass_b per bin, nan where mass_b = 0
+    # equivariance only: (raw shifted mass, reference mass, bound on their
+    # difference from the truncation of the Poincare series)
+    truncation: tuple[float, float, float] | None = None
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_dev < self.meta.get("tolerance", 0.05)
+        return self.max_rel_dev < LAW_TOL
 
 
-def _bin_report(kind, mass_a, mass_b, predicted, included, meta):
+def _bin_report(mass_a, mass_b, predicted, included, truncation=None):
     """Per-bin comparison of mass_a / mass_b with predicted over the bins
     flagged included (their masses clear the floor) and with mass_b > 0.
 
     Raises DegenerateMeasureError when no bin is compared, so a report
     never passes on an empty comparison.
     """
-    rows = []
-    for j, center in enumerate(bin_centers(len(mass_a))):
-        ratio = float(mass_a[j] / mass_b[j]) if mass_b[j] > 0 else None
-        rel = abs(ratio / predicted[j] - 1.0) if ratio is not None else None
-        rows.append(BinComparison(float(center), float(mass_a[j]),
-                                  float(mass_b[j]), ratio, predicted[j], rel,
-                                  bool(included[j]) and ratio is not None))
-    devs = [r.rel_dev for r in rows if r.included]
-    if not devs:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(mass_b > 0, mass_a / mass_b, np.nan)
+    compared = included & (mass_b > 0)
+    if not compared.any():
         raise DegenerateMeasureError("no bins above the mass floor")
-    return DensityReport(kind, max(devs), rows, len(rows) - len(devs), meta)
+    devs = np.abs(ratios[compared] / np.asarray(predicted)[compared] - 1.0)
+    return DensityReport(float(devs.max()), int((~compared).sum()), ratios,
+                         truncation)
 
 
 def check_transformation(surface: fu.SurfaceModel, p: hg.DiskPoint,
                          q: hg.DiskPoint, s: float, R: float, n_bins: int,
-                         *, ball: fu.Ball | None = None,
-                         mass_floor: float = MASS_FLOOR) -> DensityReport:
+                         *, ball: fu.Ball | None = None) -> DensityReport:
     """Radon–Nikodym law: mass_p / mass_q vs e^{-h b(q, p, xi)} per bin.
 
     h is the configured entropy; both measures are built from one ball.
@@ -172,23 +152,20 @@ def check_transformation(surface: fu.SurfaceModel, p: hg.DiskPoint,
     h = surface.entropy_h
     predicted = [math.exp(-h * hg.busemann(q, p, hg.BoundaryPoint.from_angle(c)))
                  for c in bin_centers(n_bins)]
-    included = (bp >= mass_floor * bp.sum()) & (bq >= mass_floor * bq.sum())
-    return _bin_report("transformation", bp, bq, predicted, included,
-                       {"p": [p.z.real, p.z.imag], "q": [q.z.real, q.z.imag],
-                        "s": s, "R": R, "n_bins": n_bins,
-                        "mass_floor": mass_floor, "tolerance": 0.05})
+    included = (bp >= MASS_FLOOR * bp.sum()) & (bq >= MASS_FLOOR * bq.sum())
+    return _bin_report(bp, bq, predicted, included)
 
 
 def check_equivariance(surface: fu.SurfaceModel, gamma: hg.Isometry,
-                       p: hg.DiskPoint, s: float, R: float, n_bins: int,
-                       *, mass_floor: float = MASS_FLOOR) -> DensityReport:
+                       p: hg.DiskPoint, s: float, R: float,
+                       n_bins: int) -> DensityReport:
     """Deck equivariance: mu_{gamma p}(gamma A) = mu_p(A), bin by bin.
 
     The shifted measure is built from a ball enlarged by dist(o, gamma o) and
     its atom set is truncation-compensated: atoms are restricted to elements
     gamma' with gamma^{-1} gamma' inside the R-ball, which makes the identity
     exact up to float noise.  The raw (uncompensated) full-circle masses and
-    their analytic truncation bound are reported in the metadata.
+    their analytic truncation bound are the report's ``truncation``.
     """
     d_shift = hg.dist(hg.ORIGIN, hg.apply(gamma, hg.ORIGIN))
     ball = fu.enumerate_ball(surface, R + d_shift)
@@ -206,7 +183,7 @@ def check_equivariance(surface: fu.SurfaceModel, gamma: hg.Isometry,
     keep = (pulled_disp <= R) & (pulled_disp > 1e-12)
     orbit, w = _orbit_weights(a, b, keep, gp.z, s)
     u = hg.boundary_toward_z(np.full(orbit.shape, gp.z), orbit)
-    mu_shift = BoundaryMeasure(gp, u, w, s, R + d_shift)
+    mu_shift = BoundaryMeasure(gp, u, w)
 
     # bin the shifted measure on gamma-images of the bins by pulling atoms
     # back through gamma^{-1} and binning normally
@@ -221,13 +198,7 @@ def check_equivariance(surface: fu.SurfaceModel, gamma: hg.Isometry,
                                     gp.z, s)[1].sum())
     series_hi = poincare_series(surface, s, p, R + d_shift, ball=ball)
     series_lo = poincare_series(surface, s, p, max(R - d_shift, 0.0), ball=ball)
-    return _bin_report("equivariance", b_shift, b_p, [1.0] * n_bins,
-                       b_p >= mass_floor * b_p.sum(),
-                       {"gamma": [gamma.a.real, gamma.a.imag,
-                                  gamma.b.real, gamma.b.imag],
-                        "p": [p.z.real, p.z.imag], "s": s, "R": R,
-                        "n_bins": n_bins, "mass_floor": mass_floor,
-                        "tolerance": 0.05,
-                        "raw_shifted_mass": raw_mass,
-                        "reference_mass": mu_p.total_mass,
-                        "truncation_bound": abs(series_hi - series_lo)})
+    return _bin_report(b_shift, b_p, [1.0] * n_bins,
+                       b_p >= MASS_FLOOR * b_p.sum(),
+                       (raw_mass, mu_p.total_mass,
+                        abs(series_hi - series_lo)))

@@ -99,8 +99,7 @@ def mixing_correlation(domain: FundamentalDomain, b1: PhaseBox,
             hits[idx] = b2.contains_chart(zr, tr)
     p = hits.mean()
     se = math.sqrt(max(p * (1 - p), 0.0) / n_samples)
-    return MeasureEstimate(float(p), se, n_samples,
-                           meta={"t": t, "seed": seed})
+    return MeasureEstimate(float(p), se, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +139,12 @@ class CountingRow:
 
 @dataclass
 class CountingReport:
-    eps: float
     h: float
     window: list[CountingRow]        # P_{t,eps} vs 2 eps e^{ht}/t
     cumulative: list[CountingRow]    # P_t vs e^{ht}/(ht)
     triangle: list[CountingRow]      # N(B,t) vs 2 e^{ht} m(B)
     crossings: list[CountingRow]     # mean box time / eps vs m(B) t / eps
     empirical_slope: float | None    # d ln(t P_t)/dt diagnostic
-    box_measure: float | None = None
 
 
 def counting_suite(table: fu.SpectrumTable, t_grid, eps: float, *,
@@ -192,5 +189,4 @@ def counting_suite(table: fu.SpectrumTable, t_grid, eps: float, *,
     ts = np.array([r.t for r in cumulative if r.observed > 0])
     lp = np.log([r.observed * r.t for r in cumulative if r.observed > 0])
     slope = float(np.polyfit(ts, lp, 1)[0]) if len(ts) > 1 else None
-    return CountingReport(eps, h, window, cumulative, triangle, crossings,
-                          slope, box_measure)
+    return CountingReport(h, window, cumulative, triangle, crossings, slope)

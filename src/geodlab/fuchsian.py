@@ -815,7 +815,7 @@ class SpectrumTable:
 
     # -- persistence ------------------------------------------------------
 
-    def save(self, csv_path, meta_path=None):
+    def save(self, csv_path, meta_path):
         with open(csv_path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["canonical_word", "trace_abs", "length",
@@ -823,11 +823,10 @@ class SpectrumTable:
             for c in self.classes:
                 w.writerow([c.word_str, repr(c.trace_abs), repr(c.length),
                             int(c.primitive), c.group_id])
-        if meta_path is not None:
-            with open(meta_path, "w") as f:
-                json.dump({"surface": self.surface.name, "cutoff": self.cutoff,
-                           **self.meta}, f, indent=2, sort_keys=True)
-                f.write("\n")
+        with open(meta_path, "w") as f:
+            json.dump({"surface": self.surface.name, "cutoff": self.cutoff,
+                       **self.meta}, f, indent=2, sort_keys=True)
+            f.write("\n")
 
     @classmethod
     def load(cls, csv_path, meta_path):
@@ -857,6 +856,7 @@ class SpectrumTable:
 SPECTRUM_MARGIN = 2.0 * math.log(1.0 + SQRT2)   # 2 ln cosh(INRADIUS)
 # bump whenever a code change alters what a built table holds
 SPECTRUM_SCHEMA = 3
+CROSS_VALIDATE_TO = 8.0    # class lengths up to which a build checks words
 
 
 def spectrum_meta(R) -> dict:
@@ -866,7 +866,6 @@ def spectrum_meta(R) -> dict:
 
 
 def build_spectrum(surface: SurfaceModel, R: float, *,
-                   cross_validate_to: float = 8.0,
                    ball: Ball | None = None) -> SpectrumTable:
     """Build the oriented length spectrum up to length R, from a ball of
     radius max(R + SPECTRUM_MARGIN, 4 rho), rho = INRADIUS.
@@ -902,9 +901,8 @@ def build_spectrum(surface: SurfaceModel, R: float, *,
     primitive = _mark_iterates(ball, reps, class_of, R)
     tr = np.abs(ring_trace(ball.rows[reps]))
     ell = trace_length(tr)
-    if cross_validate_to > 0:
-        _cross_validate_words(surface, ball, ell, class_of,
-                              min(cross_validate_to, R), memo)
+    _cross_validate_words(surface, ball, ell, class_of,
+                          min(CROSS_VALIDATE_TO, R), memo)
     rows = zip(words, tr.tolist(), ell.tolist(), primitive.tolist())
     table = SpectrumTable.from_rows(surface, R, rows, spectrum_meta(R))
     table.axes  # noqa: B018  (the build pays for its own geometry)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,7 +267,6 @@ def _two_way_curvature(metric, x0, y0, th0, T: float, dt: float, s_start=0.0):
 @dataclass
 class RankReport:
     sup_abs_K: float
-    T: float
 
     @property
     def rank(self) -> str:     # "rank_one" | "rank_ge_2"
@@ -278,12 +277,11 @@ def rank_classify(metric: ConformalMetric, s0: GeodesicState,
                   T: float = DEFAULT_T) -> RankReport:
     """Finite-horizon rank dichotomy via curvature along the orbit.
 
-    rank >= 2 iff sup |K| <= RANK_TOL over the sampled trajectory on [-T, T];
-    the horizon is reported as part of the contract.
+    rank >= 2 iff sup |K| <= RANK_TOL over the sampled trajectory on [-T, T].
     """
     _, k = _two_way_curvature(metric, [s0.x], [s0.y], [s0.theta], T,
                               DEFAULT_DT)
-    return RankReport(float(np.abs(k).max()), T)
+    return RankReport(float(np.abs(k).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +291,6 @@ def rank_classify(metric: ConformalMetric, s0: GeodesicState,
 class RiccatiReport:
     u_stable: float
     u_unstable: float
-    T: float
 
     @property
     def gap(self):
@@ -341,7 +338,7 @@ def riccati_subspaces(metric: ConformalMetric, s0: GeodesicState,
     """
     u_stable, u_unstable = _riccati_limits(*_two_way_curvature(
         metric, [s0.x], [s0.y], [s0.theta], T, dt, s0.s))
-    return RiccatiReport(float(u_stable[0]), float(u_unstable[0]), T)
+    return RiccatiReport(float(u_stable[0]), float(u_unstable[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +346,8 @@ def riccati_subspaces(metric: ConformalMetric, s0: GeodesicState,
 
 @dataclass
 class RankSuiteResult:
-    preset: str
-    n_geodesics: int
     disagreements: int
-    reports: list = field(default_factory=list)
+    reports: list              # (state, RankReport, RiccatiReport, agree)
 
 
 def rank_suite(preset: str, n_geodesics: int = 100, seed: int = 0,
@@ -374,12 +369,12 @@ def rank_suite(preset: str, n_geodesics: int = 100, seed: int = 0,
     u_stable, u_unstable = _riccati_limits(h, k)
     reports = []
     for i, s0 in enumerate(states):
-        rk = RankReport(float(sup_k[i]), T)
-        rc = RiccatiReport(float(u_stable[i]), float(u_unstable[i]), T)
+        rk = RankReport(float(sup_k[i]))
+        rc = RiccatiReport(float(u_stable[i]), float(u_unstable[i]))
         agree = (rc.gap > GAP_TOL) == (rk.rank == "rank_one")
         reports.append((s0, rk, rc, agree))
     disagreements = sum(not r[3] for r in reports)
-    return RankSuiteResult(preset, n_geodesics, disagreements, reports)
+    return RankSuiteResult(disagreements, reports)
 
 
 def dump_trajectory_csv(metric: ConformalMetric, s0: GeodesicState, T: float,

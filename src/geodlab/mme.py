@@ -14,7 +14,7 @@ which doubles as the independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,6 @@ class MeasureEstimate:
     std_error: float
     samples: int
     discarded: int = 0
-    meta: dict = field(default_factory=dict)
 
 
 def random_box(domain: FundamentalDomain, rng, *, position_radius=0.35,
@@ -144,8 +143,11 @@ def _area_sample(domain: FundamentalDomain, n_samples, seed):
 
 
 def domain_area(domain: FundamentalDomain, n_samples=400_000, seed=0) -> MeasureEstimate:
-    """Hyperbolic area of F by rejection sampling (Gauss-Bonnet oracle 4 pi)."""
+    """Hyperbolic area of F by rejection sampling (Gauss-Bonnet oracle 4 pi);
+    nan when fewer than two samples or none in F leave no estimate."""
     _, w, in_f = _area_sample(domain, n_samples, seed)
+    if n_samples < 2 or not in_f.any():
+        return MeasureEstimate(math.nan, math.nan, n_samples)
     x = np.where(in_f, w, 0.0)
     r0 = EUCLID_ENCLOSING_RADIUS
     euclid_area = math.pi * r0 * r0
@@ -155,8 +157,12 @@ def domain_area(domain: FundamentalDomain, n_samples=400_000, seed=0) -> Measure
 
 def liouville_measure(domain: FundamentalDomain, box: PhaseBox,
                       n_samples=400_000, seed=0) -> MeasureEstimate:
-    """Normalized Liouville measure of a box: area ratio times angle fraction."""
+    """Normalized Liouville measure of a box: area ratio times angle
+    fraction; nan when fewer than two samples or none in F leave no
+    estimate."""
     z, w, in_f = _area_sample(domain, n_samples, seed)
+    if n_samples < 2 or not in_f.any():
+        return MeasureEstimate(math.nan, math.nan, n_samples)
     in_ball = in_f & (hg.dist_z(z, box.center.base.z) < box.position_radius)
     x = np.where(in_ball, w, 0.0)
     y = np.where(in_f, w, 0.0)
@@ -286,7 +292,8 @@ def knieper_normalization(surface: fu.SurfaceModel, domain: FundamentalDomain,
                           seed=0) -> tuple[float, float]:
     """Full-space scale: (mean weighted length in F x S^1, its standard error).
 
-    The result is cached on the density for the last (n_samples, seed).
+    The standard error is nan for one sample.  The result is cached on the
+    density for the last (n_samples, seed).
     """
     cache = getattr(density, "_knieper_norm", None)
     if cache is not None and cache[0] == (n_samples, seed):
@@ -296,7 +303,8 @@ def knieper_normalization(surface: fu.SurfaceModel, domain: FundamentalDomain,
     z = float(vals.mean())
     if z <= 0:
         raise DegenerateMeasureError("normalization estimate vanished")
-    z_se = float(vals.std(ddof=1) / math.sqrt(n_samples))
+    z_se = (float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1
+            else math.nan)
     density._knieper_norm = ((n_samples, seed), (z, z_se))
     return z, z_se
 
@@ -336,34 +344,24 @@ def knieper_measure(surface: fu.SurfaceModel, domain: FundamentalDomain,
     # the normalization stream is independent: combine errors in quadrature
     se = value * math.hypot(mean_se / mean if mean > 0 else 0.0,
                             z_se / z_norm)
-    return MeasureEstimate(value, se, n_samples, discarded,
-                           {"normalization": z_norm,
-                            "normalization_se": z_se, "seed": seed})
+    return MeasureEstimate(value, se, n_samples, discarded)
 
 
 # ---------------------------------------------------------------------------
 # conditional densities
 
-@dataclass(frozen=True)
-class ConditionalDensityQuery:
-    v: hg.PhasePoint
-    w: hg.PhasePoint
-    kind: str  # "stable" | "unstable"
-
-    def __post_init__(self):
-        if self.kind not in ("stable", "unstable"):
-            raise InvalidConfigurationError(f"unknown kind {self.kind!r}")
-
-
-def conditional_density(query: ConditionalDensityQuery, h: float = 1.0) -> float:
+def conditional_density(v: hg.PhasePoint, w: hg.PhasePoint, kind: str,
+                        h: float = 1.0) -> float:
     """Busemann factor of the conditional measure density.
 
-    e^{-h b(pi v, pi w, w_inf)} for unstable, with w_-inf for stable; the
-    mu-atom factor is reported separately by callers.
+    e^{-h b(pi v, pi w, w_inf)} for kind "unstable", with w_-inf for
+    "stable"; the mu-atom factor is reported separately by callers.
     """
-    w_inf, w_minf = hg.endpoints(query.w)
-    xi = w_inf if query.kind == "unstable" else w_minf
-    return math.exp(-h * hg.busemann(query.v.base, query.w.base, xi))
+    if kind not in ("stable", "unstable"):
+        raise InvalidConfigurationError(f"unknown kind {kind!r}")
+    w_inf, w_minf = hg.endpoints(w)
+    xi = w_inf if kind == "unstable" else w_minf
+    return math.exp(-h * hg.busemann(v.base, w.base, xi))
 
 
 @dataclass
@@ -383,10 +381,10 @@ def verify_expansion(v: hg.PhasePoint, w: hg.PhasePoint, t_grid,
     rows = []
     max_err = 0.0
     for kind, sign in (("unstable", +1.0), ("stable", -1.0)):
-        base = conditional_density(ConditionalDensityQuery(v, w, kind), h)
+        base = conditional_density(v, w, kind, h)
         for t in t_grid:
             wt = hg.flow(w, float(t))
-            val = conditional_density(ConditionalDensityQuery(v, wt, kind), h)
+            val = conditional_density(v, wt, kind, h)
             ln_ratio = math.log(val / base)
             err = abs(ln_ratio - sign * h * t)
             rows.append((float(t), kind, ln_ratio, sign * h * t, err))
@@ -417,7 +415,6 @@ class HolonomyReport:
     mu_lhs: float
     mu_rhs: float
     deviation: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def passed(self):
@@ -464,6 +461,4 @@ def verify_holonomy(surface: fu.SurfaceModel, v, v2, w, w2,
     if mu_lhs <= 0 or mu_rhs <= 0:
         raise DegenerateMeasureError("empty density bin at the holonomy endpoint")
     dev = abs((b_rhs * mu_rhs) / (b_lhs * mu_lhs) - 1.0)
-    return HolonomyReport(
-        b_lhs, b_rhs, mu_lhs, mu_rhs, dev,
-        {"bin": j, "n_bins": HOLONOMY_BINS, "R": density_R, "s": s})
+    return HolonomyReport(b_lhs, b_rhs, mu_lhs, mu_rhs, dev)

